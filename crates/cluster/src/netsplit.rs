@@ -253,6 +253,18 @@ impl PartitionPlan {
         self.slow.iter().find(|s| s.node == node)
     }
 
+    /// Extra runtime a degraded link adds to work on `node` spanning
+    /// `[start, end)`: the stretch applies only to the overlapping portion.
+    pub fn link_stretch(&self, node: NodeId, start: SimTime, end: SimTime) -> SimDuration {
+        match self.slow_window(node) {
+            Some(s) if s.factor > 1.0 => {
+                let hi = s.heal.map_or(end, |h| end.min(h));
+                hi.since(start.max(s.start)).mul_f64(s.factor - 1.0)
+            }
+            _ => SimDuration::ZERO,
+        }
+    }
+
     /// The link stretch factor for `node` at time `t` (1.0 when healthy).
     pub fn slowdown_at(&self, node: NodeId, t: SimTime) -> f64 {
         match self.slow_window(node) {

@@ -77,6 +77,11 @@ impl TaskSpec {
         }
         d.mul_f64(cluster.slowdown(node))
     }
+
+    /// False when hard affinity forbids running on `node`.
+    fn admits(&self, node: NodeId) -> bool {
+        !self.hard_affinity || self.affinity.is_empty() || self.affinity.contains(&node)
+    }
 }
 
 /// The placement and timing of one task.
@@ -98,6 +103,19 @@ pub struct Assignment {
     pub affinity_hit: bool,
     /// True if a speculative backup copy of this task won the race.
     pub speculated: bool,
+}
+
+impl Assignment {
+    /// Moves the attempt to `node` over `[start, end)`, recomputing the
+    /// placement-derived locality fields so stats credit the node that
+    /// actually produced the result, not a dead or losing copy's.
+    fn relocate(&mut self, task: &TaskSpec, node: NodeId, start: SimTime, end: SimTime) {
+        self.node = node;
+        self.start = start;
+        self.end = end;
+        self.input_local = task.input_hosts.is_empty() || task.input_hosts.contains(&node);
+        self.affinity_hit = task.affinity.is_empty() || task.affinity.contains(&node);
+    }
 }
 
 /// A scheduled phase.
@@ -187,13 +205,6 @@ impl Schedule {
     }
 }
 
-#[derive(Clone, Copy)]
-struct Slot {
-    node: NodeId,
-    free: SimTime,
-    used: usize,
-}
-
 /// Schedules `tasks` onto the cluster's slots of their kind, starting at
 /// `phase_start`, and returns the resulting timeline.
 ///
@@ -219,339 +230,14 @@ pub fn schedule_phase_chaos(
     phase_start: SimTime,
     chaos: &ChaosPlan,
 ) -> Schedule {
-    let mut schedule = Schedule {
-        assignments: Vec::with_capacity(tasks.len()),
-        makespan: phase_start,
-        speculative_copies: 0,
-        retried_tasks: 0,
-        crashed_attempts: 0,
-        partition: PartitionReplay::default(),
-    };
-    if tasks.is_empty() {
-        return schedule;
-    }
-    let kind = tasks[0].kind;
-    assert!(
-        tasks.iter().all(|t| t.kind == kind),
-        "a phase must be homogeneous in slot kind"
-    );
-    let slots_per_node = match kind {
-        SlotKind::Map => cluster.map_slots(),
-        SlotKind::Reduce => cluster.reduce_slots(),
-    };
-    // Slots interleaved across nodes (slot 0 of every node, then slot 1,
-    // …) so ties in finish time spread tasks over distinct machines.
-    let mut slots: Vec<Slot> = (0..slots_per_node)
-        .flat_map(|_| {
-            cluster.nodes().map(|node| Slot {
-                node,
-                free: phase_start,
-                used: 0,
-            })
-        })
-        .collect();
-
-    // Task-driven greedy (earliest-finish-time): each task, in submission
-    // order, takes the slot where it finishes first. Placement-dependent
-    // costs (remote input transfer, the index-locality affinity penalty)
-    // are part of the finish time, so the scheduler weighs "wait for a
-    // local/affine slot" against "run remotely now" with real prices —
-    // the trade-off §3.4 describes without hard co-location.
-    let mut assignments: Vec<Option<Assignment>> = vec![None; tasks.len()];
-    // Which slot each task finally ran on — needed to replay per-slot
-    // queues when hidden slowdowns stretch runtimes after placement.
-    let mut assigned_slot: Vec<usize> = vec![0; tasks.len()];
-    // Nodes whose tasks failed get blacklisted for the rest of the phase
-    // (the Hadoop JobTracker's per-job blacklist).
-    let mut blacklisted: Vec<NodeId> = Vec::new();
-    for (task_idx, task) in tasks.iter().enumerate() {
-        let mut best: Option<(SimTime, SimTime, usize)> = None; // (end, start, slot)
-        for pass in 0..2 {
-            for (slot_idx, slot) in slots.iter().enumerate() {
-                // First pass avoids blacklisted nodes; a second pass
-                // admits them if nothing else is eligible.
-                if pass == 0 && blacklisted.contains(&slot.node) {
-                    continue;
-                }
-                if task.hard_affinity
-                    && !task.affinity.is_empty()
-                    && !task.affinity.contains(&slot.node)
-                {
-                    continue;
-                }
-                let start = slot.free;
-                let end = start + task.duration_on(slot.node, cluster);
-                if best.is_none_or(|(bend, _, _)| end < bend) {
-                    best = Some((end, start, slot_idx));
-                }
-            }
-            if best.is_some() {
-                break;
-            }
-        }
-        let (mut end, start, slot_idx) = best.unwrap_or_else(|| {
-            // Hard affinity to nodes outside the cluster: fall back to
-            // any slot (the penalty applies).
-            let slot = slots
-                .iter()
-                .enumerate()
-                .min_by_key(|(_, s)| s.free)
-                .map(|(i, _)| i)
-                .expect("cluster has at least one slot");
-            let start = slots[slot].free;
-            (
-                start + task.duration_on(slots[slot].node, cluster),
-                start,
-                slot,
-            )
-        });
-        let mut node = slots[slot_idx].node;
-        let wave = slots[slot_idx].used;
-        let mut attempt_start = start;
-        let mut final_slot = slot_idx;
-
-        // Flaky-node model: the first attempt on a flaky node fails after
-        // a fraction of its runtime; the retry goes to the then-best
-        // OTHER node, preferring machines that are not themselves flaky
-        // (Hadoop avoids the failed machine; a retry landing on another
-        // flaky node would just fail again).
-        if let Some(fraction) = cluster.flaky_fraction(node) {
-            if !blacklisted.contains(&node) {
-                blacklisted.push(node);
-            }
-            let wasted = task.duration_on(node, cluster).mul_f64(fraction);
-            let fail_at = start + wasted;
-            slots[slot_idx].free = fail_at;
-            slots[slot_idx].used += 1;
-            schedule.retried_tasks += 1;
-            // Retry placement in strict preference order: (1) a healthy
-            // node other than the failed attempt's, (2) any OTHER node
-            // even if flaky — it may fail again, but re-running where the
-            // attempt just failed is guaranteed waste, so the fallback
-            // pass must never land the retry back on the original node —
-            // and only with no other eligible slot at all (single-node
-            // cluster, hard affinity) (3) the original node itself.
-            let mut retry_best: Option<(SimTime, SimTime, usize)> = None;
-            for admit_flaky in [false, true] {
-                for (i, slot) in slots.iter().enumerate() {
-                    // Both passes exclude the first attempt's node.
-                    if slot.node == node {
-                        continue;
-                    }
-                    if !admit_flaky && cluster.flaky_fraction(slot.node).is_some() {
-                        continue;
-                    }
-                    if task.hard_affinity
-                        && !task.affinity.is_empty()
-                        && !task.affinity.contains(&slot.node)
-                    {
-                        continue;
-                    }
-                    let rstart = slot.free.max(fail_at);
-                    let rend = rstart + task.duration_on(slot.node, cluster);
-                    if retry_best.is_none_or(|(bend, _, _)| rend < bend) {
-                        retry_best = Some((rend, rstart, i));
-                    }
-                }
-                if retry_best.is_some() {
-                    break;
-                }
-            }
-            if let Some((rend, rstart, rslot)) = retry_best {
-                debug_assert_ne!(slots[rslot].node, node, "retry must avoid the failed node");
-                node = slots[rslot].node;
-                attempt_start = rstart;
-                end = rend;
-                final_slot = rslot;
-                slots[rslot].free = rend;
-                slots[rslot].used += 1;
-            } else {
-                // Single-node cluster: retry on the same node.
-                attempt_start = fail_at;
-                end = fail_at + task.duration_on(node, cluster);
-                slots[slot_idx].free = end;
-            }
-        } else {
-            slots[slot_idx].free = end;
-            slots[slot_idx].used += 1;
-        }
-
-        assigned_slot[task_idx] = final_slot;
-        assignments[task_idx] = Some(Assignment {
-            task_id: task.id,
-            node,
-            start: attempt_start,
-            end,
-            wave,
-            input_local: task.input_hosts.is_empty() || task.input_hosts.contains(&node),
-            affinity_hit: task.affinity.is_empty() || task.affinity.contains(&node),
-            speculated: false,
-        });
-        schedule.makespan = schedule.makespan.max(end);
-    }
-
-    schedule.assignments = assignments.into_iter().map(|a| a.unwrap()).collect();
-
-    // --- Surprise stragglers & speculative execution. ---
-    // The plan above priced only the *known* slowdowns. Hidden slowdowns
-    // stretch the actual runtimes after placement; with speculation on, a
-    // backup copy launches once a task overruns its planned finish, and
-    // the earlier finisher wins (Hadoop 1.x backup tasks).
-    let any_hidden = cluster.nodes().any(|n| cluster.hidden_slowdown(n) > 1.0);
-    if any_hidden {
-        // Replay each slot's queue with true runtimes: a stretched task
-        // delays every later task queued on the same slot, so multi-wave
-        // phases feel a straggler across all of its waves, not just the
-        // first victim. Backup copies are priced on a separate per-slot
-        // availability ledger (healthy slots free up as planned) — they
-        // cap their victim's finish without delaying planned tasks, an
-        // approximation of the JobTracker killing slow copies promptly.
-        let mut slot_free: Vec<SimTime> = vec![phase_start; slots.len()];
-        let mut backup_free: Vec<(NodeId, SimTime)> =
-            slots.iter().map(|s| (s.node, s.free)).collect();
-        let mut order: Vec<usize> = (0..schedule.assignments.len()).collect();
-        order.sort_by_key(|&i| (schedule.assignments[i].start, i));
-        schedule.makespan = phase_start;
-        for i in order {
-            let task = &tasks[i];
-            let assignment = &mut schedule.assignments[i];
-            let slot = assigned_slot[i];
-            let planned = assignment.end.since(assignment.start);
-            // Hidden delays only push tasks later, never earlier, so the
-            // planned start is a floor on the replayed one.
-            let start = assignment.start.max(slot_free[slot]);
-            let hidden = cluster.hidden_slowdown(assignment.node);
-            let actual_end = start + planned.mul_f64(hidden);
-            assignment.start = start;
-            assignment.end = actual_end;
-            if hidden > 1.0 && cluster.speculation_enabled() {
-                // The JobTracker notices the overrun at the planned
-                // finish and launches a backup on the then-freest
-                // healthy slot.
-                let notice = start + planned;
-                let backup = backup_free
-                    .iter_mut()
-                    .filter(|(n, _)| cluster.hidden_slowdown(*n) <= 1.0)
-                    .min_by_key(|(_, free)| *free);
-                if let Some((bnode, bfree)) = backup {
-                    let bstart = notice.max(*bfree);
-                    let bdur = task
-                        .duration_on(*bnode, cluster)
-                        .mul_f64(cluster.hidden_slowdown(*bnode));
-                    let bend = bstart + bdur;
-                    *bfree = bend;
-                    schedule.speculative_copies += 1;
-                    if bend < actual_end {
-                        assignment.node = *bnode;
-                        assignment.start = bstart;
-                        assignment.end = bend;
-                        assignment.speculated = true;
-                        assignment.input_local =
-                            task.input_hosts.is_empty() || task.input_hosts.contains(bnode);
-                        assignment.affinity_hit =
-                            task.affinity.is_empty() || task.affinity.contains(bnode);
-                    }
-                }
-            }
-            // The original slot is released at the winner's finish (the
-            // loser copy is killed then).
-            slot_free[slot] = slot_free[slot].max(assignment.end.min(actual_end));
-            schedule.makespan = schedule.makespan.max(assignment.end);
-        }
-    }
-
-    // --- Node-crash replay. ---
-    // Like the hidden-straggler pass, crashes are invisible to the planner;
-    // the final assignments are replayed against the chaos plan. A task
-    // whose node dies before it starts simply migrates; one interrupted
-    // mid-run is killed at the crash instant (the wasted work stays on the
-    // dead machine, which serves nothing afterwards anyway) and re-executed
-    // on the surviving node where it finishes earliest. The layer is
-    // classified once here, outside the replay loop: a quiet plan skips
-    // the whole pass, keeping EFT placement free of per-task crash checks.
-    if chaos.layer_state().is_armed() {
-        let mut slot_free: Vec<SimTime> = vec![phase_start; slots.len()];
-        let mut order: Vec<usize> = (0..schedule.assignments.len()).collect();
-        order.sort_by_key(|&i| (schedule.assignments[i].start, i));
-        schedule.makespan = phase_start;
-        for i in order {
-            let task = &tasks[i];
-            let slot = assigned_slot[i];
-            let assignment = &mut schedule.assignments[i];
-            let planned = assignment.end.since(assignment.start);
-            let start = assignment.start.max(slot_free[slot]);
-            let end = start + planned;
-            let crash = chaos.crash_time(assignment.node);
-            let needs_move = match crash {
-                Some(at) if at <= start => Some(start.max(at)), // dead before launch
-                Some(at) if at < end => {
-                    // Killed mid-run: attempt wasted up to the crash.
-                    schedule.crashed_attempts += 1;
-                    Some(at)
-                }
-                _ => None,
-            };
-            match needs_move {
-                None => {
-                    assignment.start = start;
-                    assignment.end = end;
-                    slot_free[slot] = end;
-                }
-                Some(floor) => {
-                    // EFT over slots whose node survives the candidate
-                    // attempt end-to-end; hard affinity is honoured first
-                    // and relaxed only when it leaves no live candidate.
-                    let mut best: Option<(SimTime, SimTime, usize)> = None;
-                    for honour_affinity in [true, false] {
-                        for (j, s) in slots.iter().enumerate() {
-                            if honour_affinity
-                                && task.hard_affinity
-                                && !task.affinity.is_empty()
-                                && !task.affinity.contains(&s.node)
-                            {
-                                continue;
-                            }
-                            let rstart = slot_free[j].max(floor);
-                            let rdur = task
-                                .duration_on(s.node, cluster)
-                                .mul_f64(cluster.hidden_slowdown(s.node));
-                            let rend = rstart + rdur;
-                            if chaos.crash_time(s.node).is_some_and(|at| at < rend) {
-                                continue;
-                            }
-                            if best.is_none_or(|(bend, _, _)| rend < bend) {
-                                best = Some((rend, rstart, j));
-                            }
-                        }
-                        if best.is_some() {
-                            break;
-                        }
-                    }
-                    // A plan may only kill a strict subset of the nodes
-                    // (`ChaosPlan::seeded` guarantees a survivor), so a
-                    // candidate always exists; if a hand-built plan kills
-                    // everything, the attempt finishes on its original
-                    // node as if the crash arrived just after.
-                    if let Some((rend, rstart, rslot)) = best {
-                        assignment.node = slots[rslot].node;
-                        assignment.start = rstart;
-                        assignment.end = rend;
-                        assignment.input_local = task.input_hosts.is_empty()
-                            || task.input_hosts.contains(&assignment.node);
-                        assignment.affinity_hit =
-                            task.affinity.is_empty() || task.affinity.contains(&assignment.node);
-                        slot_free[rslot] = rend;
-                    } else {
-                        assignment.start = start;
-                        assignment.end = end;
-                        slot_free[slot] = end;
-                    }
-                }
-            }
-            schedule.makespan = schedule.makespan.max(assignment.end);
-        }
-    }
-    schedule
+    schedule_phase_gray(
+        cluster,
+        tasks,
+        phase_start,
+        chaos,
+        &PartitionPlan::none(),
+        &DetectorConfig::default(),
+    )
 }
 
 /// [`schedule_phase_chaos`] with a gray-failure plan replayed on top,
@@ -574,6 +260,11 @@ pub fn schedule_phase_chaos(
 /// Link slowdowns stretch the affected span of a task's runtime. With a
 /// quiet partition plan the whole pass is skipped, bit-identical to
 /// [`schedule_phase_chaos`].
+///
+/// This is the one scheduler implementation: EFT placement, then up to
+/// three replay passes (hidden stragglers, crashes, gray failures) through
+/// `replay`, each skipped when its layer is quiet. Every pass sees the
+/// slot each task really holds, and every re-placement goes through `eft`.
 pub fn schedule_phase_gray(
     cluster: &Cluster,
     tasks: &[TaskSpec],
@@ -582,104 +273,291 @@ pub fn schedule_phase_gray(
     partition: &PartitionPlan,
     detector: &DetectorConfig,
 ) -> Schedule {
-    let mut schedule = schedule_phase_chaos(cluster, tasks, phase_start, chaos);
-    if !partition.layer_state().is_armed() || tasks.is_empty() {
+    let mut schedule = Schedule {
+        assignments: Vec::with_capacity(tasks.len()),
+        makespan: phase_start,
+        ..Schedule::default()
+    };
+    let Some(kind) = tasks.first().map(|t| t.kind) else {
         return schedule;
-    }
-    let kind = tasks[0].kind;
+    };
+    assert!(
+        tasks.iter().all(|t| t.kind == kind),
+        "a phase must be homogeneous in slot kind"
+    );
     let slots_per_node = match kind {
         SlotKind::Map => cluster.map_slots(),
         SlotKind::Reduce => cluster.reduce_slots(),
     };
-    let slot_nodes: Vec<NodeId> = (0..slots_per_node).flat_map(|_| cluster.nodes()).collect();
-    let mut slot_free: Vec<SimTime> = vec![phase_start; slot_nodes.len()];
-    // A replacement may run on any node; track its slot occupancy on the
-    // same ledger so replacements queue instead of stacking.
-    let suspicions = detector.assess_all(partition, cluster.num_nodes());
-    let suspicion_of = |node: NodeId| suspicions.iter().find(|s| s.node == node).copied();
-    // Extra runtime a degraded link adds to a span `[start, end)` on
-    // `node` — the stretch applies only to the overlapping portion.
-    let link_stretch = |node: NodeId, start: SimTime, end: SimTime| -> SimDuration {
-        match partition.slow_window(node) {
-            Some(s) if s.factor > 1.0 => {
-                let lo = start.max(s.start);
-                let hi = match s.heal {
-                    Some(h) => {
-                        if end < h {
-                            end
-                        } else {
-                            h
+    // Slots interleaved across nodes (slot 0 of every node, then slot 1,
+    // …) so ties in finish time spread tasks over distinct machines.
+    let nodes: Vec<NodeId> = (0..slots_per_node).flat_map(|_| cluster.nodes()).collect();
+    let mut free = vec![phase_start; nodes.len()];
+    let mut used = vec![0usize; nodes.len()];
+    // The slot each task holds, carried through every replay pass.
+    let mut slot_of = vec![0usize; tasks.len()];
+
+    // Task-driven greedy (earliest-finish-time): each task, in submission
+    // order, takes the slot where it finishes first. Placement-dependent
+    // costs (remote input transfer, the index-locality affinity penalty)
+    // are part of the finish time, so the scheduler weighs "wait for a
+    // local/affine slot" against "run remotely now" with real prices —
+    // the trade-off §3.4 describes without hard co-location.
+    // Nodes whose tasks failed get blacklisted for the rest of the phase
+    // (the Hadoop JobTracker's per-job blacklist): the strict pass avoids
+    // them, the relaxed one admits them if nothing else is eligible.
+    let mut blacklisted: Vec<NodeId> = Vec::new();
+    for (i, task) in tasks.iter().enumerate() {
+        let (mut end, mut start, slot) = eft(&nodes, &free, phase_start, |node, start, strict| {
+            (!(strict && blacklisted.contains(&node)) && task.admits(node))
+                .then(|| start + task.duration_on(node, cluster))
+        })
+        .unwrap_or_else(|| {
+            // Hard affinity to nodes outside the cluster: fall back to
+            // any slot (the penalty applies).
+            let slot = (0..free.len())
+                .min_by_key(|&j| free[j])
+                .expect("cluster has at least one slot");
+            (
+                free[slot] + task.duration_on(nodes[slot], cluster),
+                free[slot],
+                slot,
+            )
+        });
+        let node = nodes[slot];
+        let wave = used[slot];
+        used[slot] += 1;
+        let mut held = slot;
+
+        // Flaky-node model: the first attempt on a flaky node fails after
+        // a fraction of its runtime; the retry goes to the then-best
+        // OTHER node, preferring machines that are not themselves flaky
+        // (Hadoop avoids the failed machine; a retry landing on another
+        // flaky node would just fail again).
+        if let Some(fraction) = cluster.flaky_fraction(node) {
+            if !blacklisted.contains(&node) {
+                blacklisted.push(node);
+            }
+            let fail_at = start + task.duration_on(node, cluster).mul_f64(fraction);
+            free[slot] = fail_at;
+            schedule.retried_tasks += 1;
+            // Retry placement in strict preference order: (1) a healthy
+            // node other than the failed attempt's, (2) any OTHER node
+            // even if flaky — it may fail again, but re-running where the
+            // attempt just failed is guaranteed waste, so the fallback
+            // pass must never land the retry back on the original node —
+            // and only with no other eligible slot at all (single-node
+            // cluster, hard affinity) (3) the original node itself.
+            let retry = eft(&nodes, &free, fail_at, |other, rstart, strict| {
+                let eligible = other != node
+                    && !(strict && cluster.flaky_fraction(other).is_some())
+                    && task.admits(other);
+                eligible.then(|| rstart + task.duration_on(other, cluster))
+            });
+            (end, start) = match retry {
+                Some((rend, rstart, rslot)) => {
+                    held = rslot;
+                    used[rslot] += 1;
+                    (rend, rstart)
+                }
+                None => (fail_at + task.duration_on(node, cluster), fail_at),
+            };
+        }
+        free[held] = end;
+        slot_of[i] = held;
+        let mut assignment = Assignment {
+            task_id: task.id,
+            node,
+            start,
+            end,
+            wave,
+            input_local: false,
+            affinity_hit: false,
+            speculated: false,
+        };
+        assignment.relocate(task, nodes[held], start, end);
+        schedule.assignments.push(assignment);
+        schedule.makespan = schedule.makespan.max(end);
+    }
+
+    // The true runtime of a re-placed attempt on `node` from `start`
+    // (hidden slowdown and degraded-link stretch included), or `None` when
+    // the node is unreachable or dies before it would finish. The strict
+    // pass honours hard affinity; the relaxed pass drops it only when it
+    // leaves no live candidate.
+    let relaunch =
+        |task: &TaskSpec, node: NodeId, start: SimTime, strict: bool, partition: &PartitionPlan| {
+            if strict && !task.admits(node) {
+                return None;
+            }
+            let mut dur = task
+                .duration_on(node, cluster)
+                .mul_f64(cluster.hidden_slowdown(node));
+            dur += partition.link_stretch(node, start, start + dur);
+            let end = start + dur;
+            let unreachable =
+                partition.is_isolated_at(node, start) || partition.is_isolated_at(node, end);
+            (!unreachable && chaos.crash_time(node).is_none_or(|at| at >= end)).then_some(end)
+        };
+
+    // --- Surprise stragglers & speculative execution. ---
+    // The plan above priced only the *known* slowdowns. Hidden slowdowns
+    // stretch the actual runtimes after placement: a stretched task delays
+    // every later task queued on the same slot, so multi-wave phases feel
+    // a straggler across all of its waves, not just the first victim. With
+    // speculation on, a backup copy launches once a task overruns its
+    // planned finish, and the earlier finisher wins (Hadoop 1.x backup
+    // tasks). Backup copies are priced on a separate per-slot availability
+    // ledger (healthy slots free up as planned) — they cap their victim's
+    // finish without delaying planned tasks, an approximation of the
+    // JobTracker killing slow copies promptly; the task keeps holding its
+    // original slot until the winner finishes.
+    if cluster.nodes().any(|n| cluster.hidden_slowdown(n) > 1.0) {
+        let mut backup_free: Vec<(NodeId, SimTime)> =
+            nodes.iter().copied().zip(free.iter().copied()).collect();
+        let copies = &mut schedule.speculative_copies;
+        schedule.makespan = replay(
+            &mut schedule.assignments,
+            &mut slot_of,
+            nodes.len(),
+            phase_start,
+            |i, a, slot, free| {
+                let planned = a.end.since(a.start);
+                let hidden = cluster.hidden_slowdown(a.node);
+                let actual_end = a.start + planned.mul_f64(hidden);
+                a.end = actual_end;
+                if hidden > 1.0 && cluster.speculation_enabled() {
+                    // The JobTracker notices the overrun at the planned
+                    // finish and launches a backup on the then-freest
+                    // healthy slot.
+                    let notice = a.start + planned;
+                    let backup = backup_free
+                        .iter_mut()
+                        .filter(|(n, _)| cluster.hidden_slowdown(*n) <= 1.0)
+                        .min_by_key(|(_, free)| *free);
+                    if let Some((bnode, bfree)) = backup {
+                        let bstart = notice.max(*bfree);
+                        let bdur = tasks[i]
+                            .duration_on(*bnode, cluster)
+                            .mul_f64(cluster.hidden_slowdown(*bnode));
+                        *bfree = bstart + bdur;
+                        *copies += 1;
+                        if *bfree < actual_end {
+                            a.relocate(&tasks[i], *bnode, bstart, *bfree);
+                            a.speculated = true;
                         }
                     }
-                    None => end,
-                };
-                hi.since(lo).mul_f64(s.factor - 1.0)
-            }
-            _ => SimDuration::ZERO,
-        }
-    };
-    let mut order: Vec<usize> = (0..schedule.assignments.len()).collect();
-    order.sort_by_key(|&i| (schedule.assignments[i].start, i));
-    schedule.makespan = phase_start;
-    for i in order {
-        let task = &tasks[i];
-        let assignment = &mut schedule.assignments[i];
-        let slot = slot_nodes
-            .iter()
-            .position(|&n| n == assignment.node)
-            .expect("assignment node has a slot");
-        let planned = assignment.end.since(assignment.start);
-        let start = assignment.start.max(slot_free[slot]);
-        let mut end = start + planned;
-        // Degraded link: the overlapping span runs `factor`× slower.
-        let stretch = link_stretch(assignment.node, start, end);
-        if !stretch.is_zero() {
-            end += stretch;
-            schedule.partition.slowed_tasks += 1;
-            schedule.partition.slowdown += stretch;
-        }
-        assignment.start = start;
-        assignment.end = end;
-
-        let window = partition.isolation_window(assignment.node);
-        let suspicion = suspicion_of(assignment.node);
-        // Tasks fully delivered before any impairment opened are
-        // untouched; so are tasks on never-impaired nodes.
-        let affected_from = match (window, suspicion) {
-            (Some((ps, _)), _) => Some(ps),
-            (None, Some(s)) => Some(s.suspect_at), // slow-link false positive
-            (None, None) => None,
-        };
-        // A task dispatched after the node rejoined runs on a full member
-        // again — suspicion is history by then.
-        let rejoined_before_start = suspicion.is_some_and(|s| match s.verdict {
-            Verdict::Refuted { rejoin_at } => start >= rejoin_at,
-            Verdict::Confirmed => false,
-        });
-        if affected_from.filter(|&f| end > f).is_none() || rejoined_before_start {
-            slot_free[slot] = end;
-            schedule.makespan = schedule.makespan.max(end);
-            continue;
-        }
-
-        match suspicion {
-            None => {
-                // Isolation healed before the detector noticed: the task
-                // keeps its node and its result waits for the heal.
-                let heal = window
-                    .and_then(|(_, h)| h)
-                    .expect("undetected impairment must heal");
-                slot_free[slot] = end;
-                if end < heal {
-                    schedule.partition.stall += heal.since(end);
-                    schedule.partition.stalled_tasks += 1;
-                    assignment.end = heal;
                 }
-            }
-            Some(s) => {
+                // The original slot is released at the winner's finish
+                // (the loser copy is killed then).
+                free[*slot] = free[*slot].max(a.end.min(actual_end));
+            },
+        );
+    }
+
+    // --- Node-crash replay. ---
+    // Like the hidden-straggler pass, crashes are invisible to the planner.
+    // A task whose node dies before it starts simply migrates; one
+    // interrupted mid-run is killed at the crash instant (the wasted work
+    // stays on the dead machine, which serves nothing afterwards anyway)
+    // and re-executed on the surviving node where it finishes earliest. A
+    // plan may only kill a strict subset of the nodes (`ChaosPlan::seeded`
+    // guarantees a survivor); if a hand-built plan kills everything, the
+    // attempt finishes on its original node as if the crash arrived just
+    // after. The layer is classified once here, outside the replay loop: a
+    // quiet plan skips the whole pass, keeping EFT placement free of
+    // per-task crash checks.
+    if chaos.layer_state().is_armed() {
+        let crashed = &mut schedule.crashed_attempts;
+        let connected = PartitionPlan::none();
+        schedule.makespan = replay(
+            &mut schedule.assignments,
+            &mut slot_of,
+            nodes.len(),
+            phase_start,
+            |i, a, slot, free| {
+                let floor = match chaos.crash_time(a.node) {
+                    Some(at) if at <= a.start => a.start, // dead before launch
+                    Some(at) if at < a.end => {
+                        // Killed mid-run: attempt wasted up to the crash.
+                        *crashed += 1;
+                        at
+                    }
+                    _ => {
+                        free[*slot] = a.end;
+                        return;
+                    }
+                };
+                let moved = eft(&nodes, free, floor, |node, start, strict| {
+                    relaunch(&tasks[i], node, start, strict, &connected)
+                });
+                match moved {
+                    Some((end, start, to)) => {
+                        a.relocate(&tasks[i], nodes[to], start, end);
+                        *slot = to;
+                        free[to] = end;
+                    }
+                    None => free[*slot] = a.end,
+                }
+            },
+        );
+    }
+
+    // --- Gray-failure replay. ---
+    if partition.layer_state().is_armed() {
+        let suspicions = detector.assess_all(partition, cluster.num_nodes());
+        let log = &mut schedule.partition;
+        schedule.makespan = replay(
+            &mut schedule.assignments,
+            &mut slot_of,
+            nodes.len(),
+            phase_start,
+            |i, a, slot, free| {
+                let (task, start) = (&tasks[i], a.start);
+                // Degraded link: the overlapping span runs `factor`× slower.
+                let stretch = partition.link_stretch(a.node, start, a.end);
+                if !stretch.is_zero() {
+                    a.end += stretch;
+                    log.slowed_tasks += 1;
+                    log.slowdown += stretch;
+                }
+                let end = a.end;
+                let window = partition.isolation_window(a.node);
+                let suspicion = suspicions.iter().find(|s| s.node == a.node).copied();
+                // Tasks fully delivered before any impairment opened are
+                // untouched; so are tasks on never-impaired nodes.
+                let affected_from = match (window, suspicion) {
+                    (Some((ps, _)), _) => Some(ps),
+                    (None, Some(s)) => Some(s.suspect_at), // slow-link false positive
+                    (None, None) => None,
+                };
+                // A task dispatched after the node rejoined runs on a full
+                // member again — suspicion is history by then.
+                let rejoined_before_start = suspicion.is_some_and(|s| match s.verdict {
+                    Verdict::Refuted { rejoin_at } => start >= rejoin_at,
+                    Verdict::Confirmed => false,
+                });
+                if affected_from.is_none_or(|f| end <= f) || rejoined_before_start {
+                    free[*slot] = end;
+                    return;
+                }
+                let Some(s) = suspicion else {
+                    // Isolation healed before the detector noticed: the
+                    // task keeps its node and its result waits for the heal.
+                    let heal = window
+                        .and_then(|(_, h)| h)
+                        .expect("undetected impairment must heal");
+                    free[*slot] = end;
+                    if end < heal {
+                        log.stall += heal.since(end);
+                        log.stalled_tasks += 1;
+                        a.end = heal;
+                    }
+                    return;
+                };
                 // When (if ever) the original attempt's result becomes
-                // visible to the master: at its physical end once the
-                // node is back, never for a confirmed partition.
+                // visible to the master: at its physical end once the node
+                // is back, never for a confirmed partition.
                 let orig_visible = match (window, s.verdict) {
                     (Some(_), Verdict::Confirmed) => None,
                     (Some(_), Verdict::Refuted { rejoin_at }) => Some(end.max(rejoin_at)),
@@ -690,92 +568,112 @@ pub fn schedule_phase_gray(
                 // produce an orphan). At or after suspicion the master
                 // simply routes the task elsewhere — nothing to orphan.
                 let ran_on_suspect = start < s.suspect_at;
-                slot_free[slot] = if ran_on_suspect { end } else { start };
-                // Re-place at the suspicion instant on a node that is
-                // reachable for the whole candidate attempt; hard
-                // affinity is honoured first, then relaxed.
-                let floor = s.suspect_at.max(start);
-                let mut best: Option<(SimTime, SimTime, usize)> = None;
-                for honour_affinity in [true, false] {
-                    for (j, &node) in slot_nodes.iter().enumerate() {
-                        if node == assignment.node {
-                            continue;
-                        }
-                        if honour_affinity
-                            && task.hard_affinity
-                            && !task.affinity.is_empty()
-                            && !task.affinity.contains(&node)
-                        {
-                            continue;
-                        }
-                        let rstart = slot_free[j].max(floor);
-                        let mut rdur = task
-                            .duration_on(node, cluster)
-                            .mul_f64(cluster.hidden_slowdown(node));
-                        rdur += link_stretch(node, rstart, rstart + rdur);
-                        let rend = rstart + rdur;
-                        if partition.is_isolated_at(node, rstart)
-                            || partition.is_isolated_at(node, rend)
-                        {
-                            continue;
-                        }
-                        if chaos.crash_time(node).is_some_and(|at| at < rend) {
-                            continue;
-                        }
-                        if best.is_none_or(|(bend, _, _)| rend < bend) {
-                            best = Some((rend, rstart, j));
-                        }
-                    }
-                    if best.is_some() {
-                        break;
-                    }
-                }
-                match best {
-                    Some((rend, rstart, rslot)) => {
-                        schedule.partition.replaced_tasks += 1;
-                        match orig_visible {
-                            // Original's answer lands first: replacement
-                            // killed on arrival, its work reconciled away.
-                            Some(v) if v <= rend => {
-                                if ran_on_suspect {
-                                    assignment.end = v;
-                                }
-                                schedule.partition.orphan_results += 1;
-                                slot_free[rslot] = slot_free[rslot].max(v.min(rend));
-                            }
-                            // Replacement wins; a rejoining original that
-                            // also ran delivers a late duplicate.
-                            other => {
-                                if other.is_some() && ran_on_suspect {
-                                    schedule.partition.orphan_results += 1;
-                                }
-                                assignment.node = slot_nodes[rslot];
-                                assignment.start = rstart;
-                                assignment.end = rend;
-                                assignment.input_local = task.input_hosts.is_empty()
-                                    || task.input_hosts.contains(&assignment.node);
-                                assignment.affinity_hit = task.affinity.is_empty()
-                                    || task.affinity.contains(&assignment.node);
-                                slot_free[rslot] = rend;
-                            }
-                        }
-                    }
+                free[*slot] = if ran_on_suspect { end } else { start };
+                // Re-place at the suspicion instant on another node that
+                // is reachable for the whole candidate attempt.
+                let suspect = a.node;
+                let moved = eft(
+                    &nodes,
+                    free,
+                    s.suspect_at.max(start),
+                    |node, rstart, strict| {
+                        (node != suspect)
+                            .then(|| relaunch(task, node, rstart, strict, partition))
+                            .flatten()
+                    },
+                );
+                let Some((rend, rstart, to)) = moved else {
                     // Nothing reachable to re-place onto: wait out the
                     // original if it can ever deliver (the runner turns
                     // truly total isolation into `Error::Partitioned`).
-                    None => {
-                        if let Some(v) = orig_visible {
-                            if ran_on_suspect {
-                                assignment.end = v;
-                            }
-                        }
+                    if let Some(v) = orig_visible.filter(|_| ran_on_suspect) {
+                        a.end = v;
                     }
+                    return;
+                };
+                log.replaced_tasks += 1;
+                match orig_visible {
+                    // Original's answer lands first: replacement killed on
+                    // arrival, its work reconciled away.
+                    Some(v) if v <= rend => {
+                        if ran_on_suspect {
+                            a.end = v;
+                        }
+                        log.orphan_results += 1;
+                        free[to] = free[to].max(v.min(rend));
+                    }
+                    // Replacement wins; a rejoining original that also ran
+                    // delivers a late duplicate.
+                    other => {
+                        if other.is_some() && ran_on_suspect {
+                            log.orphan_results += 1;
+                        }
+                        a.relocate(task, nodes[to], rstart, rend);
+                        *slot = to;
+                        free[to] = rend;
+                    }
+                }
+            },
+        );
+    }
+    schedule
+}
+
+/// The one EFT re-placement search: the slot (index into the interleaved
+/// `nodes`/`free` ledger) where an attempt starting no earlier than `floor`
+/// finishes first, as `(end, start, slot)`. `finish(node, start, strict)`
+/// prices the attempt on `node` or rules the node out; the strict pass runs
+/// first and the relaxed one only when the strict pass left no candidate.
+/// Ties go to the lowest slot index.
+fn eft(
+    nodes: &[NodeId],
+    free: &[SimTime],
+    floor: SimTime,
+    mut finish: impl FnMut(NodeId, SimTime, bool) -> Option<SimTime>,
+) -> Option<(SimTime, SimTime, usize)> {
+    [true, false].into_iter().find_map(|strict| {
+        let mut best: Option<(SimTime, SimTime, usize)> = None;
+        for (j, (&node, &slot_free)) in nodes.iter().zip(free).enumerate() {
+            let start = slot_free.max(floor);
+            if let Some(end) = finish(node, start, strict) {
+                if best.is_none_or(|(bend, _, _)| end < bend) {
+                    best = Some((end, start, j));
                 }
             }
         }
-        schedule.makespan = schedule.makespan.max(assignment.end);
+        best
+    })
+}
+
+/// One start-ordered replay pass over the slot ledger: the shared skeleton
+/// of the straggler, crash, and gray passes. Assignments are visited in
+/// `(start, index)` order on a fresh ledger (every slot free at
+/// `phase_start`); each is pushed behind whatever now occupies its slot,
+/// keeping its planned duration — delays only push tasks later, never
+/// earlier, so the planned start is a floor on the replayed one. `step`
+/// then applies the pass's failure model: it may stretch or move the
+/// attempt (updating the slot it holds) and must release the slots it
+/// used. Returns the replayed makespan.
+fn replay(
+    assignments: &mut [Assignment],
+    slot_of: &mut [usize],
+    slots: usize,
+    phase_start: SimTime,
+    mut step: impl FnMut(usize, &mut Assignment, &mut usize, &mut [SimTime]),
+) -> SimTime {
+    let mut free = vec![phase_start; slots];
+    let mut order: Vec<usize> = (0..assignments.len()).collect();
+    order.sort_by_key(|&i| (assignments[i].start, i));
+    let mut makespan = phase_start;
+    for i in order {
+        let a = &mut assignments[i];
+        let start = a.start.max(free[slot_of[i]]);
+        a.end = start + a.end.since(a.start);
+        a.start = start;
+        step(i, a, &mut slot_of[i], &mut free);
+        makespan = makespan.max(a.end);
     }
-    schedule
+    makespan
 }
 
 #[cfg(test)]
@@ -1435,6 +1333,30 @@ mod tests {
         // 500 ms stretched original.
         assert_eq!(s.assignments[0].node, NodeId(1));
         assert_eq!(s.makespan, at(103));
+    }
+
+    #[test]
+    fn gray_replay_keeps_each_task_on_its_own_slot() {
+        // Regression: the gray pass once looked a task's slot up by its
+        // node, serializing every task on a node onto that node's first
+        // slot. With only node 1 impaired, node 0's two parallel tasks
+        // must come out exactly as the crash-only schedule placed them.
+        let c = Cluster::builder().nodes(2).map_slots(2).build();
+        let tasks: Vec<_> = (0..4).map(|i| task(i, 100)).collect();
+        let chaos = ChaosPlan::none();
+        let plain = schedule_phase_chaos(&c, &tasks, SimTime::ZERO, &chaos);
+        let plan = PartitionPlan::new(1).slow_link(NodeId(1), at(0), None, 2.0);
+        let gray = schedule_phase_gray(&c, &tasks, SimTime::ZERO, &chaos, &plan, &det());
+        let on_node0 = |s: &Schedule| -> Vec<Assignment> {
+            s.assignments
+                .iter()
+                .filter(|a| a.node == NodeId(0))
+                .cloned()
+                .collect()
+        };
+        assert_eq!(on_node0(&plain).len(), 2);
+        assert_eq!(on_node0(&gray), on_node0(&plain));
+        assert_eq!(gray.partition.slowed_tasks, 2);
     }
 
     #[test]

@@ -11,10 +11,12 @@
 //! The table is append-only and process-global: a `Symbol` never moves and
 //! is valid for the life of the process, which is what lets
 //! `CounterHandle`s in `efind-mapreduce` be `Copy` and lets hot paths hold
-//! them across task boundaries. [`table_len`] exposes the table size so
-//! tests can prove a hot path performs *zero* interner growth (and hence
-//! no name allocation) at steady state.
+//! them across task boundaries. [`inserted_by_this_thread`] counts the
+//! names the calling thread added, so tests can prove a hot path performs
+//! *zero* interner growth (and hence no name allocation) at steady state —
+//! without being thrown off by other threads interning concurrently.
 
+use std::cell::Cell;
 use std::sync::{Arc, OnceLock, RwLock};
 
 use crate::FxHashMap;
@@ -35,6 +37,12 @@ impl Symbol {
 struct InternTable {
     by_name: FxHashMap<Arc<str>, u32>,
     by_id: Vec<Arc<str>>,
+}
+
+thread_local! {
+    /// Names the current thread inserted into the table (first sightings
+    /// only; re-interning an existing name does not count).
+    static INSERTED_HERE: Cell<usize> = const { Cell::new(0) };
 }
 
 fn table() -> &'static RwLock<InternTable> {
@@ -58,6 +66,7 @@ pub fn intern(name: &str) -> Symbol {
     let arc: Arc<str> = Arc::from(name);
     w.by_id.push(arc.clone());
     w.by_name.insert(arc, id);
+    INSERTED_HERE.with(|n| n.set(n.get() + 1));
     Symbol(id)
 }
 
@@ -66,10 +75,11 @@ pub fn resolve(sym: Symbol) -> Arc<str> {
     table().read().expect("intern table poisoned").by_id[sym.0 as usize].clone()
 }
 
-/// Number of distinct strings interned so far. A hot path that is
-/// allocation-free on names leaves this unchanged.
-pub fn table_len() -> usize {
-    table().read().expect("intern table poisoned").by_id.len()
+/// Number of names the calling thread has inserted into the table. A hot
+/// path that is allocation-free on names leaves this unchanged; unlike the
+/// table's size, it cannot move because another thread interned a name.
+pub fn inserted_by_this_thread() -> usize {
+    INSERTED_HERE.with(Cell::get)
 }
 
 /// The registry of counter-name shapes — the symbol table `efind-lint`
@@ -176,6 +186,8 @@ pub mod registry {
         "mr.partition.stalled.tasks",
         "mr.partition.stall.nanos",
         "mr.partition.orphan.results",
+        "mr.partition.slowed.tasks",
+        "mr.partition.slowdown.nanos",
         "mr.partition.failover.fetches",
         "mr.partition.failover.nanos",
         "mr.partition.rereplication.pending",
@@ -292,11 +304,14 @@ mod tests {
     #[test]
     fn reinterning_does_not_grow_table() {
         intern("intern.test.stable");
-        let before = table_len();
+        let before = inserted_by_this_thread();
         for _ in 0..1_000 {
             intern("intern.test.stable");
         }
-        assert_eq!(table_len(), before);
+        assert_eq!(inserted_by_this_thread(), before);
+        // A first sighting does count.
+        intern("intern.test.fresh.for.this.thread");
+        assert_eq!(inserted_by_this_thread(), before + 1);
     }
 
     #[test]

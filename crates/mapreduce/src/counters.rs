@@ -64,6 +64,15 @@ impl Counters {
         self.bump(CounterHandle(intern(name)), delta);
     }
 
+    /// Adds `delta` to counter `name` only when it is nonzero, so an
+    /// all-zero ledger leaves the counter set (and its fingerprint)
+    /// untouched.
+    pub fn add_nonzero(&mut self, name: &str, delta: i64) {
+        if delta != 0 {
+            self.add(name, delta);
+        }
+    }
+
     /// Adds `delta` through a pre-resolved handle — the allocation-free
     /// hot path.
     pub fn bump(&mut self, handle: CounterHandle, delta: i64) {
@@ -198,11 +207,11 @@ mod tests {
         let mut c = Counters::new();
         let h = CounterHandle::new("handle.test.hot");
         c.bump(h, 1);
-        let before = efind_common::intern::table_len();
+        let before = efind_common::intern::inserted_by_this_thread();
         for _ in 0..10_000 {
             c.bump(h, 1);
         }
-        assert_eq!(efind_common::intern::table_len(), before);
+        assert_eq!(efind_common::intern::inserted_by_this_thread(), before);
         assert_eq!(c.get_handle(h), 10_001);
     }
 

@@ -83,43 +83,38 @@ impl IntegrityLog {
     /// values are written, so a corruption-free run's counter set (and
     /// its fingerprint) is untouched.
     pub fn add_counters(&self, counters: &mut Counters) {
-        let mut put = |name: &str, v: i64| {
-            if v != 0 {
-                counters.add(name, v);
-            }
-        };
-        put(
+        counters.add_nonzero(
             "mr.integrity.chunks.corrupt",
             self.corrupt_chunks.len() as i64,
         );
-        put(
+        counters.add_nonzero(
             "mr.integrity.replicas.quarantined",
             self.quarantined_replicas as i64,
         );
-        put("mr.integrity.chunk.rereads", self.chunk_rereads as i64);
-        put(
+        counters.add_nonzero("mr.integrity.chunk.rereads", self.chunk_rereads as i64);
+        counters.add_nonzero(
             "mr.integrity.reread.nanos",
             self.reread_time.as_nanos() as i64,
         );
-        put(
+        counters.add_nonzero(
             "mr.integrity.shuffle.refetches",
             self.shuffle_refetches as i64,
         );
-        put(
+        counters.add_nonzero(
             "mr.integrity.shuffle.refetch.nanos",
             self.shuffle_refetch_time.as_nanos() as i64,
         );
-        put(
+        counters.add_nonzero(
             "mr.integrity.cache.invalidations",
             self.cache_invalidations as i64,
         );
-        put(
+        counters.add_nonzero(
             "mr.integrity.lookup.refetches",
             self.lookup_refetches as i64,
         );
-        put("mr.integrity.repaired.chunks", self.repaired_chunks as i64);
-        put("mr.integrity.repaired.bytes", self.repaired_bytes as i64);
-        put(
+        counters.add_nonzero("mr.integrity.repaired.chunks", self.repaired_chunks as i64);
+        counters.add_nonzero("mr.integrity.repaired.bytes", self.repaired_bytes as i64);
+        counters.add_nonzero(
             "mr.integrity.repair.nanos",
             self.repair_time.as_nanos() as i64,
         );

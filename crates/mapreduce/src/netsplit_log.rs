@@ -51,6 +51,10 @@ pub struct PartitionLog {
     /// Duplicate results discarded during exactly-once reconciliation
     /// (a rejoined node's late answers, or losing redundant copies).
     pub orphan_results: u64,
+    /// Tasks stretched by a degraded (but connected) link.
+    pub slowed_tasks: u64,
+    /// Virtual time link slowdowns added to those tasks.
+    pub slowdown: SimDuration,
     /// Shuffle fetches that waited out an isolation window instead of
     /// triggering a recompute (the partition healed).
     pub failover_fetches: u64,
@@ -81,46 +85,46 @@ impl PartitionLog {
     /// values are written, so a quiet run's counter set (and its
     /// fingerprint) is untouched.
     pub fn add_counters(&self, counters: &mut Counters) {
-        let mut put = |name: &str, v: i64| {
-            if v != 0 {
-                counters.add(name, v);
-            }
-        };
-        put("mr.partition.events", self.events as i64);
-        put("mr.partition.slow.links", self.slow_links as i64);
-        put("mr.partition.suspected", self.suspected as i64);
-        put("mr.partition.refuted", self.refuted as i64);
-        put("mr.partition.confirmed", self.confirmed as i64);
-        put("mr.partition.false.positives", self.false_positives as i64);
-        put("mr.partition.replaced.tasks", self.replaced_tasks as i64);
-        put("mr.partition.stalled.tasks", self.stalled_tasks as i64);
-        put("mr.partition.stall.nanos", self.stall.as_nanos() as i64);
-        put("mr.partition.orphan.results", self.orphan_results as i64);
-        put(
+        counters.add_nonzero("mr.partition.events", self.events as i64);
+        counters.add_nonzero("mr.partition.slow.links", self.slow_links as i64);
+        counters.add_nonzero("mr.partition.suspected", self.suspected as i64);
+        counters.add_nonzero("mr.partition.refuted", self.refuted as i64);
+        counters.add_nonzero("mr.partition.confirmed", self.confirmed as i64);
+        counters.add_nonzero("mr.partition.false.positives", self.false_positives as i64);
+        counters.add_nonzero("mr.partition.replaced.tasks", self.replaced_tasks as i64);
+        counters.add_nonzero("mr.partition.stalled.tasks", self.stalled_tasks as i64);
+        counters.add_nonzero("mr.partition.stall.nanos", self.stall.as_nanos() as i64);
+        counters.add_nonzero("mr.partition.orphan.results", self.orphan_results as i64);
+        counters.add_nonzero("mr.partition.slowed.tasks", self.slowed_tasks as i64);
+        counters.add_nonzero(
+            "mr.partition.slowdown.nanos",
+            self.slowdown.as_nanos() as i64,
+        );
+        counters.add_nonzero(
             "mr.partition.failover.fetches",
             self.failover_fetches as i64,
         );
-        put(
+        counters.add_nonzero(
             "mr.partition.failover.nanos",
             self.failover_wait.as_nanos() as i64,
         );
-        put(
+        counters.add_nonzero(
             "mr.partition.rereplication.pending",
             self.rereplication_pending as i64,
         );
-        put(
+        counters.add_nonzero(
             "mr.partition.rereplication.cancelled",
             self.rereplication_cancelled as i64,
         );
-        put(
+        counters.add_nonzero(
             "mr.partition.rereplicated.chunks",
             self.rereplicated_chunks as i64,
         );
-        put(
+        counters.add_nonzero(
             "mr.partition.rereplicated.bytes",
             self.rereplicated_bytes as i64,
         );
-        put(
+        counters.add_nonzero(
             "mr.partition.rereplication.nanos",
             self.rereplication_time.as_nanos() as i64,
         );
@@ -153,6 +157,8 @@ mod tests {
             stalled_tasks: 2,
             stall: SimDuration::from_millis(4),
             orphan_results: 3,
+            slowed_tasks: 4,
+            slowdown: SimDuration::from_millis(9),
             failover_fetches: 6,
             failover_wait: SimDuration::from_millis(2),
             rereplication_pending: 3,
@@ -171,6 +177,11 @@ mod tests {
         assert_eq!(counters.get("mr.partition.replaced.tasks"), 5);
         assert_eq!(counters.get("mr.partition.orphan.results"), 3);
         assert_eq!(counters.get("mr.partition.rereplication.cancelled"), 2);
+        assert_eq!(counters.get("mr.partition.slowed.tasks"), 4);
+        assert_eq!(
+            counters.get("mr.partition.slowdown.nanos"),
+            SimDuration::from_millis(9).as_nanos() as i64
+        );
         assert_eq!(
             counters.get("mr.partition.stall.nanos"),
             SimDuration::from_millis(4).as_nanos() as i64

@@ -67,36 +67,31 @@ impl RecoveryLog {
     /// values are written, so a quiet run's counter set (and its
     /// fingerprint) is untouched.
     pub fn add_counters(&self, counters: &mut Counters) {
-        let mut put = |name: &str, v: i64| {
-            if v != 0 {
-                counters.add(name, v);
-            }
-        };
-        put("mr.recovery.crashes", self.crashes.len() as i64);
-        put("mr.recovery.recompute.waves", self.recompute_waves as i64);
-        put(
+        counters.add_nonzero("mr.recovery.crashes", self.crashes.len() as i64);
+        counters.add_nonzero("mr.recovery.recompute.waves", self.recompute_waves as i64);
+        counters.add_nonzero(
             "mr.recovery.recompute.tasks",
             self.recomputed_map_tasks.len() as i64,
         );
-        put("mr.recovery.crashed.attempts", self.crashed_attempts as i64);
-        put("mr.recovery.fetch.retries", self.fetch_retries as i64);
-        put(
+        counters.add_nonzero("mr.recovery.crashed.attempts", self.crashed_attempts as i64);
+        counters.add_nonzero("mr.recovery.fetch.retries", self.fetch_retries as i64);
+        counters.add_nonzero(
             "mr.recovery.fetch.backoff.nanos",
             self.fetch_backoff.as_nanos() as i64,
         );
-        put(
+        counters.add_nonzero(
             "mr.recovery.rereplicated.chunks",
             self.rereplicated_chunks as i64,
         );
-        put(
+        counters.add_nonzero(
             "mr.recovery.rereplicated.bytes",
             self.rereplicated_bytes as i64,
         );
-        put(
+        counters.add_nonzero(
             "mr.recovery.rereplication.nanos",
             self.rereplication_time.as_nanos() as i64,
         );
-        put(
+        counters.add_nonzero(
             "mr.recovery.reused.tasks",
             self.surviving_tasks.len() as i64,
         );

@@ -17,11 +17,9 @@ use std::sync::atomic::{AtomicUsize, Ordering};
 use std::thread;
 
 use efind_cluster::{
-    sched::{
-        schedule_phase_chaos, schedule_phase_gray, PartitionReplay, Schedule, SlotKind, TaskSpec,
-    },
-    ChaosPlan, Cluster, CorruptionPlan, CrashEvent, DetectorConfig, InjectionProfile,
-    PartitionPlan, SimDuration, SimTime, Suspicion, Verdict,
+    sched::{schedule_phase_gray, PartitionReplay, Schedule, SlotKind, TaskSpec},
+    Assignment, ChaosPlan, Cluster, CorruptionPlan, CrashEvent, DetectorConfig, InjectionProfile,
+    NodeId, PartitionPlan, SimDuration, SimTime, Suspicion, Verdict,
 };
 use efind_common::{crc32, Error, Record, Result};
 use efind_dfs::{ChunkMeta, Dfs, DfsFile};
@@ -60,11 +58,11 @@ pub struct MapTaskExec {
     /// Input chunk size in bytes (scheduler charges the read).
     pub input_bytes: u64,
     /// Input replica hosts.
-    pub input_hosts: Vec<efind_cluster::NodeId>,
+    pub input_hosts: Vec<NodeId>,
     /// Placement-independent cost of the task body.
     pub base_cost: SimDuration,
     /// Index-locality affinity declared by user code.
-    pub affinity: Vec<efind_cluster::NodeId>,
+    pub affinity: Vec<NodeId>,
     /// Extra cost when scheduled off the affinity nodes.
     pub affinity_penalty: SimDuration,
     /// Whether the task must run on its affinity nodes.
@@ -73,6 +71,23 @@ pub struct MapTaskExec {
     pub output: Vec<Record>,
     /// Per-task statistics.
     pub stats: TaskStats,
+}
+
+impl MapTaskExec {
+    /// The schedulable task, reading its input from `input_hosts` (its
+    /// original replicas, or the survivors when it is recomputed).
+    fn spec(&self, input_hosts: &[NodeId]) -> TaskSpec {
+        TaskSpec {
+            id: self.task_id,
+            kind: SlotKind::Map,
+            base: self.base_cost,
+            input_bytes: self.input_bytes,
+            input_hosts: input_hosts.to_vec(),
+            affinity: self.affinity.clone(),
+            affinity_penalty: self.affinity_penalty,
+            hard_affinity: self.hard_affinity,
+        }
+    }
 }
 
 /// All executed map tasks of a (partial or full) map phase.
@@ -158,15 +173,7 @@ pub struct Runner<'a> {
 impl<'a> Runner<'a> {
     /// Creates a runner with no node crashes.
     pub fn new(cluster: &'a Cluster, dfs: &'a mut Dfs) -> Self {
-        Runner {
-            cluster,
-            dfs,
-            chaos: ChaosPlan::none(),
-            corruption: CorruptionPlan::none(),
-            netsplit: PartitionPlan::none(),
-            detector: DetectorConfig::default(),
-            profile: InjectionProfile::quiet(),
-        }
+        Self::with_chaos(cluster, dfs, ChaosPlan::none())
     }
 
     /// Creates a runner whose jobs suffer the node crashes of `chaos`.
@@ -265,37 +272,14 @@ impl<'a> Runner<'a> {
         chunks: &[ChunkMeta],
         base_task_id: usize,
     ) -> Result<MapPhaseExec> {
-        let n = chunks.len();
-        if n == 0 {
-            return Ok(MapPhaseExec::default());
-        }
-        let results: Mutex<Vec<Option<Result<MapTaskExec>>>> =
-            Mutex::new((0..n).map(|_| None).collect());
-        let next = AtomicUsize::new(0);
-        let workers = thread::available_parallelism()
-            .map(|p| p.get())
-            .unwrap_or(4)
-            .min(n);
         let dfs = &*self.dfs;
-        crossbeam::thread::scope(|s| {
-            for _ in 0..workers {
-                s.spawn(|_| loop {
-                    let i = next.fetch_add(1, Ordering::Relaxed);
-                    if i >= n {
-                        break;
-                    }
-                    let exec = self.execute_one_map(conf, &chunks[i], base_task_id + i, dfs);
-                    results.lock()[i] = Some(exec);
-                });
-            }
+        let tasks = par_map(chunks.iter().enumerate().collect(), |(i, chunk)| {
+            self.execute_one_map(conf, chunk, base_task_id + i, dfs)
         })
-        .map_err(|_| Error::Internal("map worker panicked".into()))?;
-        let mut tasks = Vec::with_capacity(n);
-        for slot in results.into_inner() {
-            let exec = slot.ok_or_else(|| Error::Internal("map task produced no result".into()))?;
-            tasks.push(exec?);
-        }
-        Ok(MapPhaseExec { tasks })
+        .ok_or_else(|| Error::Internal("map worker panicked".into()))?;
+        Ok(MapPhaseExec {
+            tasks: tasks.into_iter().collect::<Result<_>>()?,
+        })
     }
 
     fn execute_one_map(
@@ -377,42 +361,31 @@ impl<'a> Runner<'a> {
         })
     }
 
-    /// Schedules one phase's tasks, replaying the crash plan and — only
-    /// when the partition layer is armed — the gray-failure plan on top.
-    /// The hoisted branch keeps the quiet partition path literally the
-    /// pre-partition code path.
-    fn schedule_phase(&self, specs: &[TaskSpec], start: SimTime) -> Schedule {
-        if self.profile.partition.is_armed() {
-            schedule_phase_gray(
-                self.cluster,
-                specs,
-                start,
-                &self.chaos,
-                &self.netsplit,
-                &self.detector,
-            )
-        } else {
-            schedule_phase_chaos(self.cluster, specs, start, &self.chaos)
-        }
+    /// Schedules `specs` from `start`, replaying the crash plan and — when
+    /// armed — `partition` on top (quiet layers skip their replay pass).
+    fn schedule(&self, specs: &[TaskSpec], start: SimTime, partition: &PartitionPlan) -> Schedule {
+        schedule_phase_gray(
+            self.cluster,
+            specs,
+            start,
+            &self.chaos,
+            partition,
+            &self.detector,
+        )
     }
 
     /// Schedules executed map tasks onto the cluster starting at `start`.
     pub fn schedule_maps(&self, exec: &MapPhaseExec, start: SimTime) -> Schedule {
-        let specs: Vec<TaskSpec> = exec
-            .tasks
-            .iter()
-            .map(|t| TaskSpec {
-                id: t.task_id,
-                kind: SlotKind::Map,
-                base: t.base_cost,
-                input_bytes: t.input_bytes,
-                input_hosts: t.input_hosts.clone(),
-                affinity: t.affinity.clone(),
-                affinity_penalty: t.affinity_penalty,
-                hard_affinity: t.hard_affinity,
-            })
-            .collect();
-        self.schedule_phase(&specs, start)
+        let specs: Vec<TaskSpec> = exec.tasks.iter().map(|t| t.spec(&t.input_hosts)).collect();
+        self.schedule(&specs, start, &self.netsplit)
+    }
+
+    /// Writes a job's output records to its DFS output file.
+    fn write_output(&mut self, conf: &JobConf, records: Vec<Record>) -> DfsFile {
+        match conf.output_chunks {
+            Some(n) => self.dfs.write_file_with_chunks(&conf.output, records, n),
+            None => self.dfs.write_file(&conf.output, records),
+        }
     }
 
     /// Partitions per-source map outputs into the job's reduce buckets,
@@ -427,39 +400,12 @@ impl<'a> Runner<'a> {
         sources: Vec<Vec<Record>>,
     ) -> (Vec<Vec<Record>>, u64) {
         let num_r = conf.num_reducers.max(1);
-        let n = sources.len();
         // One source's per-reducer buckets plus its shuffled byte volume.
         type Partitioned = (Vec<Vec<Record>>, u64);
-        let per_source: Vec<Partitioned> = if n > 1 {
-            let inputs: Vec<Mutex<Option<Vec<Record>>>> =
-                sources.into_iter().map(|s| Mutex::new(Some(s))).collect();
-            let outputs: Mutex<Vec<Option<Partitioned>>> =
-                Mutex::new((0..n).map(|_| None).collect());
-            let next = AtomicUsize::new(0);
-            let workers = thread::available_parallelism()
-                .map(|p| p.get())
-                .unwrap_or(4)
-                .min(n);
-            crossbeam::thread::scope(|s| {
-                for _ in 0..workers {
-                    s.spawn(|_| loop {
-                        let i = next.fetch_add(1, Ordering::Relaxed);
-                        if i >= n {
-                            break;
-                        }
-                        let source = inputs[i].lock().take().unwrap_or_default();
-                        outputs.lock()[i] = Some(partition_one(conf, num_r, source));
-                    });
-                }
-            })
-            // efind-lint: allow(panic, a panicked scoped worker already tore down the run; propagating the panic is the contract)
-            .expect("partition worker panicked");
-            outputs
-                .into_inner()
-                .into_iter()
-                // efind-lint: allow(panic, every slot is filled by construction; an empty one is a runner bug, not a user error)
-                .map(|slot| slot.expect("partition task produced no result"))
-                .collect()
+        let per_source: Vec<Partitioned> = if sources.len() > 1 {
+            par_map(sources, |s| partition_one(conf, num_r, s))
+                // efind-lint: allow(panic, a panicked scoped worker already tore down the run; propagating the panic is the contract)
+                .expect("partition worker panicked")
         } else {
             sources
                 .into_iter()
@@ -505,50 +451,12 @@ impl<'a> Runner<'a> {
         conf: &JobConf,
         partitions: Vec<(usize, Vec<Record>)>,
     ) -> Result<Vec<ReduceTaskExec>> {
-        let n = partitions.len();
-        if n == 0 {
-            return Ok(Vec::new());
-        }
-        type ReduceExec = Result<(TaskStats, TaskSpec, Vec<Record>)>;
-        type OwnedPartition = (usize, Vec<Record>);
-        let inputs: Vec<Mutex<Option<OwnedPartition>>> = partitions
-            .into_iter()
-            .map(|p| Mutex::new(Some(p)))
-            .collect();
-        let results: Mutex<Vec<Option<ReduceExec>>> = Mutex::new((0..n).map(|_| None).collect());
-        let next = AtomicUsize::new(0);
-        let workers = thread::available_parallelism()
-            .map(|p| p.get())
-            .unwrap_or(4)
-            .min(n);
-        crossbeam::thread::scope(|s| {
-            for _ in 0..workers {
-                s.spawn(|_| loop {
-                    let i = next.fetch_add(1, Ordering::Relaxed);
-                    if i >= n {
-                        break;
-                    }
-                    let Some((task_id, input)) = inputs[i].lock().take() else {
-                        break;
-                    };
-                    let out = self.execute_one_reduce(conf, task_id, input);
-                    results.lock()[i] = Some(out);
-                });
-            }
+        par_map(partitions, |(task_id, input)| {
+            self.execute_one_reduce(conf, task_id, input)
         })
-        .map_err(|_| Error::Internal("reduce worker panicked".into()))?;
-        let mut tasks = Vec::with_capacity(n);
-        for slot in results.into_inner() {
-            let (stats, spec, output) =
-                slot.ok_or_else(|| Error::Internal("reduce task produced no result".into()))??;
-            tasks.push(ReduceTaskExec {
-                task_id: spec.id,
-                stats,
-                spec,
-                output,
-            });
-        }
-        Ok(tasks)
+        .ok_or_else(|| Error::Internal("reduce worker panicked".into()))?
+        .into_iter()
+        .collect()
     }
 
     /// Runs the reduce phase over per-source map outputs (in source order),
@@ -587,20 +495,14 @@ impl<'a> Runner<'a> {
             }
         }
 
-        let mut tasks = Vec::with_capacity(execs.len());
-        let mut specs = Vec::with_capacity(execs.len());
-        let mut outputs = Vec::with_capacity(execs.len());
+        let (mut tasks, mut specs, mut records) = (Vec::new(), Vec::new(), Vec::new());
         for e in execs {
             tasks.push(e.stats);
             specs.push(e.spec);
-            outputs.push(e.output);
+            records.extend(e.output);
         }
-        let schedule = self.schedule_phase(&specs, start);
-        let all_output: Vec<Record> = outputs.into_iter().flatten().collect();
-        let output = match conf.output_chunks {
-            Some(n) => self.dfs.write_file_with_chunks(&conf.output, all_output, n),
-            None => self.dfs.write_file(&conf.output, all_output),
-        };
+        let schedule = self.schedule(&specs, start, &self.netsplit);
+        let output = self.write_output(conf, records);
         Ok(ReduceOutcome {
             phase: PhaseStats { tasks, schedule },
             output,
@@ -669,7 +571,7 @@ impl<'a> Runner<'a> {
         conf: &JobConf,
         task_id: usize,
         input: Vec<Record>,
-    ) -> Result<(TaskStats, TaskSpec, Vec<Record>)> {
+    ) -> Result<ReduceTaskExec> {
         let input_records = input.len() as u64;
         let input_bytes: u64 = input.iter().map(Record::size_bytes).sum();
         let mut sorted = input;
@@ -774,7 +676,12 @@ impl<'a> Runner<'a> {
             counters: ctx.counters,
             sketches: ctx.sketches,
         };
-        Ok((stats, spec, output))
+        Ok(ReduceTaskExec {
+            task_id,
+            stats,
+            spec,
+            output,
+        })
     }
 
     /// End-of-job integrity sweep over the job's input chunks. A map task
@@ -919,12 +826,12 @@ impl<'a> Runner<'a> {
         // waves replace lost ones.
         let mut attempts = map_schedule.assignments.clone();
         let mut gray = PartitionLog::default();
+        fold_partition_replay(&mut gray, &map_schedule.partition);
         // Node-level detector outcomes, assessed once per job: the phase
         // schedules replay only task-level effects, so a suspicion seen by
         // both the map and the reduce schedule is never double-counted.
         let mut suspicions: Vec<Suspicion> = Vec::new();
         if self.profile.partition.is_armed() {
-            fold_partition_replay(&mut gray, &map_schedule.partition);
             suspicions = self
                 .detector
                 .assess_all(&self.netsplit, self.cluster.num_nodes());
@@ -938,18 +845,17 @@ impl<'a> Runner<'a> {
                 let Some(chunk) = meta.chunks.get(a.task_id) else {
                     continue;
                 };
-                let mut cut = SimTime::ZERO;
-                let mut all_isolated = !chunk.hosts.is_empty();
-                for h in &chunk.hosts {
-                    match self.netsplit.isolated_forever_from(*h) {
-                        Some(s) => cut = cut.max(s),
-                        None => {
-                            all_isolated = false;
-                            break;
-                        }
-                    }
-                }
-                if all_isolated && a.end > cut {
+                // The chunk is unreadable from the last of its hosts' cuts
+                // on, if every host is cut off for good.
+                let cuts: Option<Vec<SimTime>> = chunk
+                    .hosts
+                    .iter()
+                    .map(|h| self.netsplit.isolated_forever_from(*h))
+                    .collect();
+                if cuts
+                    .and_then(|c| c.into_iter().max())
+                    .is_some_and(|cut| a.end > cut)
+                {
                     return Err(Error::Partitioned(format!(
                         "job {}: map task {} needs chunk {} of {} but a partition \
                          that never heals has isolated every replica host",
@@ -992,69 +898,23 @@ impl<'a> Runner<'a> {
                 // the map phase), so every completed task on the dead node
                 // must re-run.
                 if conf.has_reduce() {
-                    let lost_ids: Vec<usize> = attempts
-                        .iter()
-                        .filter(|a| a.node == e.node && a.end <= e.at)
-                        .map(|a| a.task_id)
-                        .collect();
-                    if !lost_ids.is_empty() {
-                        let meta = self.dfs.stat(&conf.input)?;
-                        let mut specs = Vec::with_capacity(lost_ids.len());
-                        for id in &lost_ids {
-                            let t =
-                                exec.tasks
-                                    .iter()
-                                    .find(|t| t.task_id == *id)
-                                    .ok_or_else(|| {
-                                        Error::Internal(format!(
-                                            "recompute of unknown map task {id}"
-                                        ))
-                                    })?;
-                            let chunk = meta.chunks.get(*id).ok_or_else(|| {
-                                Error::Internal(format!(
-                                    "map task {id} has no chunk {id} in {}",
-                                    conf.input
-                                ))
-                            })?;
-                            if chunk.hosts.is_empty() {
-                                return Err(Error::DataLoss(format!(
-                                    "job {}: recomputing map task {id} needs chunk {id} of {} \
-                                     but its last replica died with node {}",
-                                    conf.name, conf.input, e.node
-                                )));
-                            }
-                            specs.push(TaskSpec {
-                                id: *id,
-                                kind: SlotKind::Map,
-                                base: t.base_cost,
-                                input_bytes: t.input_bytes,
-                                input_hosts: chunk.hosts.clone(),
-                                affinity: t.affinity.clone(),
-                                affinity_penalty: t.affinity_penalty,
-                                hard_affinity: t.hard_affinity,
-                            });
-                        }
-                        let wave = schedule_phase_chaos(self.cluster, &specs, e.at, &self.chaos);
+                    let crash_only = PartitionPlan::none();
+                    let lost = (e.node, e.at);
+                    if let Some(wave) =
+                        self.recompute_wave(conf, exec, &mut attempts, lost, e.at, &crash_only)?
+                    {
                         recovery.recompute_waves += 1;
                         recovery.crashed_attempts += wave.crashed_attempts;
                         recovery
                             .recomputed_map_tasks
-                            .extend(lost_ids.iter().copied());
-                        for wa in wave.assignments {
-                            if let Some(a) = attempts.iter_mut().find(|a| a.task_id == wa.task_id) {
-                                *a = wa;
-                            }
-                        }
+                            .extend(wave.assignments.iter().map(|a| a.task_id));
                         map_end = map_end.max(wave.makespan);
                     }
                 }
                 // Background re-replication of under-replicated chunks,
                 // priced on the network/disk models but not serialized
                 // into the job's makespan.
-                let rep = self.dfs.re_replicate();
-                recovery.rereplicated_chunks += rep.chunks;
-                recovery.rereplicated_bytes += rep.bytes;
-                recovery.rereplication_time += rep.duration;
+                self.re_replicate_into(&mut recovery);
             }
             recovery.recomputed_map_tasks.sort_unstable();
         }
@@ -1068,92 +928,34 @@ impl<'a> Runner<'a> {
         // for the rest of the job.
         let mut gray_recomputed = false;
         if self.profile.partition.is_armed() && conf.has_reduce() {
-            for s in &suspicions {
-                if !matches!(s.verdict, Verdict::Confirmed) {
-                    continue;
-                }
+            for s in suspicions
+                .iter()
+                .filter(|s| matches!(s.verdict, Verdict::Confirmed))
+            {
                 let Some((cut, _)) = self.netsplit.isolation_window(s.node) else {
                     continue;
                 };
-                let lost_ids: Vec<usize> = attempts
-                    .iter()
-                    .filter(|a| a.node == s.node && a.end <= cut)
-                    .map(|a| a.task_id)
-                    .collect();
-                if lost_ids.is_empty() {
-                    continue;
+                let (lost, at) = ((s.node, cut), s.suspect_at);
+                if let Some(wave) =
+                    self.recompute_wave(conf, exec, &mut attempts, lost, at, &self.netsplit)?
+                {
+                    fold_partition_replay(&mut gray, &wave.partition);
+                    gray.replaced_tasks += wave.assignments.len() as u64;
+                    map_end = map_end.max(wave.makespan);
+                    gray_recomputed = true;
                 }
-                let meta = self.dfs.stat(&conf.input)?;
-                let mut specs = Vec::with_capacity(lost_ids.len());
-                for id in &lost_ids {
-                    let t = exec
-                        .tasks
-                        .iter()
-                        .find(|t| t.task_id == *id)
-                        .ok_or_else(|| {
-                            Error::Internal(format!("gray recompute of unknown map task {id}"))
-                        })?;
-                    let chunk = meta.chunks.get(*id).ok_or_else(|| {
-                        Error::Internal(format!(
-                            "map task {id} has no chunk {id} in {}",
-                            conf.input
-                        ))
-                    })?;
-                    if chunk
-                        .hosts
-                        .iter()
-                        .all(|h| self.netsplit.isolated_forever_from(*h).is_some())
-                    {
-                        return Err(Error::Partitioned(format!(
-                            "job {}: recomputing map task {id} needs chunk {id} of {} \
-                             but a partition that never heals has isolated every \
-                             replica host",
-                            conf.name, conf.input
-                        )));
-                    }
-                    specs.push(TaskSpec {
-                        id: *id,
-                        kind: SlotKind::Map,
-                        base: t.base_cost,
-                        input_bytes: t.input_bytes,
-                        input_hosts: chunk.hosts.clone(),
-                        affinity: t.affinity.clone(),
-                        affinity_penalty: t.affinity_penalty,
-                        hard_affinity: t.hard_affinity,
-                    });
-                }
-                let wave = self.schedule_phase(&specs, s.suspect_at);
-                fold_partition_replay(&mut gray, &wave.partition);
-                gray.replaced_tasks += lost_ids.len() as u64;
-                for wa in wave.assignments {
-                    if let Some(a) = attempts.iter_mut().find(|a| a.task_id == wa.task_id) {
-                        *a = wa;
-                    }
-                }
-                map_end = map_end.max(wave.makespan);
-                gray_recomputed = true;
             }
         }
 
         // Shuffle-fetch retry: reducers began fetching at the original map
         // phase end, found dead hosts, and back off exponentially until
         // the recomputed outputs become available.
+        let reducers = conf.num_reducers.max(1) as u64;
         let mut reduce_start = map_end;
         if conf.has_reduce() && !recovery.recomputed_map_tasks.is_empty() {
-            let mut t = fetch_ready;
-            let mut tries: u32 = 0;
-            while t < map_end {
-                let pause = SimDuration::exp_backoff(
-                    FETCH_BACKOFF_BASE,
-                    FETCH_BACKOFF_MULT,
-                    tries,
-                    FETCH_BACKOFF_CAP,
-                );
-                recovery.fetch_backoff += pause;
-                t += pause;
-                tries += 1;
-            }
-            recovery.fetch_retries = tries as u64 * conf.num_reducers.max(1) as u64;
+            let (t, waited, tries) = fetch_backoff(fetch_ready, map_end);
+            recovery.fetch_backoff += waited;
+            recovery.fetch_retries = tries * reducers;
             reduce_start = map_end.max(t);
         }
 
@@ -1183,23 +985,10 @@ impl<'a> Runner<'a> {
                     }
                 }
             }
-            if wait_until > fetch_ready {
-                let mut t = fetch_ready;
-                let mut tries: u32 = 0;
-                while t < wait_until {
-                    let pause = SimDuration::exp_backoff(
-                        FETCH_BACKOFF_BASE,
-                        FETCH_BACKOFF_MULT,
-                        tries,
-                        FETCH_BACKOFF_CAP,
-                    );
-                    gray.failover_wait += pause;
-                    t += pause;
-                    tries += 1;
-                }
-                gray.failover_fetches = tries as u64 * conf.num_reducers.max(1) as u64;
-                reduce_start = reduce_start.max(t);
-            }
+            let (t, waited, tries) = fetch_backoff(fetch_ready, wait_until);
+            gray.failover_wait += waited;
+            gray.failover_fetches = tries * reducers;
+            reduce_start = reduce_start.max(t);
         }
 
         let mut counters = crate::counters::Counters::new();
@@ -1214,7 +1003,7 @@ impl<'a> Runner<'a> {
             schedule: map_schedule,
         };
 
-        if conf.has_reduce() {
+        let (output, reduce, finished, shuffle) = if conf.has_reduce() {
             let sources = exec.take_outputs();
             let outcome = self.run_reduce_from(conf, sources, reduce_start)?;
             for t in &outcome.phase.tasks {
@@ -1222,9 +1011,7 @@ impl<'a> Runner<'a> {
                 sketches.merge(&t.sketches);
             }
             recovery.crashed_attempts += outcome.phase.schedule.crashed_attempts;
-            if self.profile.partition.is_armed() {
-                fold_partition_replay(&mut gray, &outcome.phase.schedule.partition);
-            }
+            fold_partition_replay(&mut gray, &outcome.phase.schedule.partition);
             let finished = outcome.phase.schedule.makespan.max(reduce_start);
             // Crashes that fell after the map phase but inside the reduce
             // window still take DFS replicas with them (the reduce schedule
@@ -1233,97 +1020,207 @@ impl<'a> Runner<'a> {
                 if e.at <= finished {
                     recovery.crashes.push(e);
                     self.dfs.crash_node(e.node);
-                    let rep = self.dfs.re_replicate();
-                    recovery.rereplicated_chunks += rep.chunks;
-                    recovery.rereplicated_bytes += rep.bytes;
-                    recovery.rereplication_time += rep.duration;
+                    self.re_replicate_into(&mut recovery);
                 }
             }
-            let mut integrity = self.integrity_sweep(conf);
-            integrity.shuffle_refetches = outcome.shuffle_refetches;
-            integrity.shuffle_refetch_time = outcome.shuffle_refetch_time;
-            // Ledger bookkeeping only for armed layers: a quiet layer's
-            // ledger is all zeros and add_counters writes nothing for
-            // zeros, so skipping it is observably identical and saves the
-            // full counter-map scan on every quiet job.
-            if self.profile.corruption.is_armed() {
-                integrity.collect_lookup_counters(&counters);
-                integrity.add_counters(&mut counters);
-            }
-            if self.profile.chaos.is_armed() {
-                recovery.add_counters(&mut counters);
-            }
-            if self.profile.partition.is_armed() {
-                self.account_gray_nodes(conf, &suspicions, finished, &mut gray);
-                gray.add_counters(&mut counters);
-            }
-            let output_bytes = outcome.output.total_bytes();
-            Ok(JobResult {
-                output: outcome.output,
-                stats: JobStats {
-                    name: conf.name.clone(),
-                    started: start,
-                    finished,
-                    map: map_stats,
-                    reduce: Some(outcome.phase),
-                    counters,
-                    sketches,
-                    shuffle_bytes: outcome.shuffle_bytes,
-                    output_bytes,
-                    recovery,
-                    integrity,
-                    partition: gray,
-                },
-            })
+            let shuffle = (
+                outcome.shuffle_bytes,
+                outcome.shuffle_refetches,
+                outcome.shuffle_refetch_time,
+            );
+            (outcome.output, Some(outcome.phase), finished, shuffle)
         } else {
             let all_output: Vec<Record> = exec.take_outputs().into_iter().flatten().collect();
-            let output = match conf.output_chunks {
-                Some(n) => self.dfs.write_file_with_chunks(&conf.output, all_output, n),
-                None => self.dfs.write_file(&conf.output, all_output),
-            };
-            let mut integrity = self.integrity_sweep(conf);
-            if self.profile.corruption.is_armed() {
-                integrity.collect_lookup_counters(&counters);
-                integrity.add_counters(&mut counters);
-            }
-            if self.profile.chaos.is_armed() {
-                recovery.add_counters(&mut counters);
-            }
-            if self.profile.partition.is_armed() {
-                self.account_gray_nodes(conf, &suspicions, map_end, &mut gray);
-                gray.add_counters(&mut counters);
-            }
-            let output_bytes = output.total_bytes();
-            Ok(JobResult {
-                output,
-                stats: JobStats {
-                    name: conf.name.clone(),
-                    started: start,
-                    finished: map_end,
-                    map: map_stats,
-                    reduce: None,
-                    counters,
-                    sketches,
-                    shuffle_bytes: 0,
-                    output_bytes,
-                    recovery,
-                    integrity,
-                    partition: gray,
-                },
-            })
+            let output = self.write_output(conf, all_output);
+            (output, None, map_end, (0, 0, SimDuration::ZERO))
+        };
+        let (shuffle_bytes, shuffle_refetches, shuffle_refetch_time) = shuffle;
+        let mut integrity = IntegrityLog {
+            shuffle_refetches,
+            shuffle_refetch_time,
+            ..self.integrity_sweep(conf)
+        };
+        // Ledger bookkeeping only for armed layers: a quiet layer's ledger
+        // is all zeros and add_counters writes nothing for zeros, so
+        // skipping it is observably identical and saves the full
+        // counter-map scan on every quiet job.
+        if self.profile.corruption.is_armed() {
+            integrity.collect_lookup_counters(&counters);
+            integrity.add_counters(&mut counters);
         }
+        if self.profile.chaos.is_armed() {
+            recovery.add_counters(&mut counters);
+        }
+        if self.profile.partition.is_armed() {
+            self.account_gray_nodes(conf, &suspicions, finished, &mut gray);
+            gray.add_counters(&mut counters);
+        }
+        let output_bytes = output.total_bytes();
+        Ok(JobResult {
+            output,
+            stats: JobStats {
+                name: conf.name.clone(),
+                started: start,
+                finished,
+                map: map_stats,
+                reduce,
+                counters,
+                sketches,
+                shuffle_bytes,
+                output_bytes,
+                recovery,
+                integrity,
+                partition: gray,
+            },
+        })
+    }
+
+    /// One recompute wave: re-runs, from `at`, every map attempt that had
+    /// completed on `lost.0` by `lost.1` — its node-local output died with
+    /// the node (crash) or is stranded behind a partition that never heals
+    /// — reading its input from the replicas still reachable. `partition`
+    /// is replayed on top of the crash plan: the quiet plan for crash
+    /// waves, the job's partition plan for gray waves. The wave's attempts
+    /// replace the lost ones in `attempts`; `None` when nothing was lost.
+    fn recompute_wave(
+        &self,
+        conf: &JobConf,
+        exec: &MapPhaseExec,
+        attempts: &mut [Assignment],
+        (node, lost_at): (NodeId, SimTime),
+        at: SimTime,
+        partition: &PartitionPlan,
+    ) -> Result<Option<Schedule>> {
+        let lost_ids: Vec<usize> = attempts
+            .iter()
+            .filter(|a| a.node == node && a.end <= lost_at)
+            .map(|a| a.task_id)
+            .collect();
+        if lost_ids.is_empty() {
+            return Ok(None);
+        }
+        let meta = self.dfs.stat(&conf.input)?;
+        let mut specs = Vec::with_capacity(lost_ids.len());
+        for id in lost_ids {
+            let t =
+                exec.tasks.iter().find(|t| t.task_id == id).ok_or_else(|| {
+                    Error::Internal(format!("recompute of unknown map task {id}"))
+                })?;
+            let chunk = meta.chunks.get(id).ok_or_else(|| {
+                Error::Internal(format!("map task {id} has no chunk {id} in {}", conf.input))
+            })?;
+            if chunk
+                .hosts
+                .iter()
+                .all(|h| partition.isolated_forever_from(*h).is_some())
+            {
+                // No readable replica: lost for good after a crash, out of
+                // reach forever behind a partition that never heals.
+                let needs = format!(
+                    "job {}: recomputing map task {id} needs chunk {id} of {}",
+                    conf.name, conf.input
+                );
+                return Err(if partition.layer_state().is_armed() {
+                    Error::Partitioned(format!(
+                        "{needs} but a partition that never heals has isolated every \
+                         replica host"
+                    ))
+                } else {
+                    Error::DataLoss(format!(
+                        "{needs} but its last replica died with node {node}"
+                    ))
+                });
+            }
+            specs.push(t.spec(&chunk.hosts));
+        }
+        let wave = self.schedule(&specs, at, partition);
+        for wa in &wave.assignments {
+            if let Some(a) = attempts.iter_mut().find(|a| a.task_id == wa.task_id) {
+                *a = wa.clone();
+            }
+        }
+        Ok(Some(wave))
+    }
+
+    /// Background re-replication of under-replicated chunks after a crash,
+    /// recorded in the job's recovery ledger.
+    fn re_replicate_into(&mut self, recovery: &mut RecoveryLog) {
+        let rep = self.dfs.re_replicate();
+        recovery.rereplicated_chunks += rep.chunks;
+        recovery.rereplicated_bytes += rep.bytes;
+        recovery.rereplication_time += rep.duration;
     }
 }
 
+/// The reducers' capped exponential fetch backoff, retrying from `from`
+/// until the outputs they wait for exist at `until`. Returns when the
+/// successful fetch lands, the total pause, and the retries per reducer.
+fn fetch_backoff(from: SimTime, until: SimTime) -> (SimTime, SimDuration, u64) {
+    let (mut t, mut waited, mut tries) = (from, SimDuration::ZERO, 0u32);
+    while t < until {
+        let pause = SimDuration::exp_backoff(
+            FETCH_BACKOFF_BASE,
+            FETCH_BACKOFF_MULT,
+            tries,
+            FETCH_BACKOFF_CAP,
+        );
+        waited += pause;
+        t += pause;
+        tries += 1;
+    }
+    (t, waited, u64::from(tries))
+}
+
 /// Folds one phase schedule's task-level partition effects into the job
-/// ledger. Node-level outcomes (suspicions, re-replication intents) are
-/// intentionally absent from the replay — [`Runner::finish`] derives them
-/// once per job so two phases never double-count a suspicion.
+/// ledger (a no-op for the all-zero replay of a quiet plan). Node-level
+/// outcomes (suspicions, re-replication intents) are intentionally absent
+/// from the replay — [`Runner::finish`] derives them once per job so two
+/// phases never double-count a suspicion.
 fn fold_partition_replay(gray: &mut PartitionLog, replay: &PartitionReplay) {
-    gray.replaced_tasks += replay.replaced_tasks;
-    gray.stalled_tasks += replay.stalled_tasks;
-    gray.stall += replay.stall;
-    gray.orphan_results += replay.orphan_results;
+    // Destructured so a new replay field cannot be silently dropped.
+    let PartitionReplay {
+        replaced_tasks,
+        stalled_tasks,
+        stall,
+        orphan_results,
+        slowed_tasks,
+        slowdown,
+    } = *replay;
+    gray.replaced_tasks += replaced_tasks;
+    gray.stalled_tasks += stalled_tasks;
+    gray.stall += stall;
+    gray.orphan_results += orphan_results;
+    gray.slowed_tasks += slowed_tasks;
+    gray.slowdown += slowdown;
+}
+
+/// Maps `f` over `inputs` on up to `available_parallelism` scoped worker
+/// threads that pull the next index from a shared counter. Results come
+/// back in input order, so the outcome is identical to a sequential map.
+/// `None` when a worker panicked.
+fn par_map<T: Send, R: Send>(inputs: Vec<T>, f: impl Fn(T) -> R + Sync) -> Option<Vec<R>> {
+    let n = inputs.len();
+    let inputs: Vec<Mutex<Option<T>>> = inputs.into_iter().map(|x| Mutex::new(Some(x))).collect();
+    let results: Mutex<Vec<Option<R>>> = Mutex::new((0..n).map(|_| None).collect());
+    let next = AtomicUsize::new(0);
+    let workers = thread::available_parallelism()
+        .map(|p| p.get())
+        .unwrap_or(4)
+        .min(n);
+    crossbeam::thread::scope(|s| {
+        for _ in 0..workers {
+            s.spawn(|_| loop {
+                let i = next.fetch_add(1, Ordering::Relaxed);
+                let Some(input) = inputs.get(i).and_then(|x| x.lock().take()) else {
+                    break;
+                };
+                let out = f(input);
+                results.lock()[i] = Some(out);
+            });
+        }
+    })
+    .ok()?;
+    results.into_inner().into_iter().collect()
 }
 
 /// Partitions one map task's output into `num_r` reduce buckets, returning

@@ -16,7 +16,9 @@ cargo run -q -p efind-lint --bin efind-lint -- --json
 scripts/lint.sh
 
 echo "== cargo test =="
-cargo test -q --workspace
+# --no-fail-fast: one crate's failure must not hide every later crate's
+# results; the step still fails if any test does.
+cargo test -q --workspace --no-fail-fast
 
 echo "== fault injection (pinned seed matrix) =="
 # Deterministic chaos sweep: per (seed, rate, strategy) cell two runs

@@ -58,17 +58,17 @@ fn topics_three_placements_agree() {
         Mode::Uniform(Strategy::Baseline),
     );
     assert!(!reference.is_empty());
-    for strategy in [
-        Strategy::Cache,
-        Strategy::Repartition,
-        Strategy::IndexLocality,
+    for mode in [
+        Mode::Uniform(Strategy::Cache),
+        Mode::Uniform(Strategy::Repartition),
+        Mode::Uniform(Strategy::IndexLocality),
+        // `run_mode` runs Baseline first, then Optimized on the same
+        // runtime from the statistics that run collected.
+        Mode::Optimized,
     ] {
-        let got = output_of(
-            topics::scenario(&config),
-            "topics.out",
-            Mode::Uniform(strategy),
-        );
-        assert_eq!(got, reference, "{strategy:?}");
+        let label = format!("{mode:?}");
+        let got = output_of(topics::scenario(&config), "topics.out", mode);
+        assert_eq!(got, reference, "{label}");
     }
 }
 

@@ -172,7 +172,48 @@ impl PartitionReplay {
     }
 }
 
+impl std::ops::AddAssign for PartitionReplay {
+    fn add_assign(&mut self, other: PartitionReplay) {
+        // Destructured so a new replay field cannot be silently dropped.
+        let PartitionReplay {
+            replaced_tasks,
+            stalled_tasks,
+            stall,
+            orphan_results,
+            slowed_tasks,
+            slowdown,
+        } = other;
+        self.replaced_tasks += replaced_tasks;
+        self.stalled_tasks += stalled_tasks;
+        self.stall += stall;
+        self.orphan_results += orphan_results;
+        self.slowed_tasks += slowed_tasks;
+        self.slowdown += slowdown;
+    }
+}
+
 impl Schedule {
+    /// Appends `later`, a segment of the same phase scheduled separately
+    /// (the reduce tasks that run after an adaptive plan change,
+    /// Fig. 10(b)): assignments concatenate, the makespan is the later
+    /// one, and every replay count adds up.
+    pub fn append(&mut self, later: Schedule) {
+        let Schedule {
+            assignments,
+            makespan,
+            speculative_copies,
+            retried_tasks,
+            crashed_attempts,
+            partition,
+        } = later;
+        self.assignments.extend(assignments);
+        self.makespan = self.makespan.max(makespan);
+        self.speculative_copies += speculative_copies;
+        self.retried_tasks += retried_tasks;
+        self.crashed_attempts += crashed_attempts;
+        self.partition += partition;
+    }
+
     /// Ids of the tasks in wave 0 — the first task of every busy slot.
     ///
     /// The adaptive optimizer (§4.1) collects statistics from this wave

@@ -18,11 +18,18 @@
 //! final job's reduce consumes both the new plan's map outputs and the
 //! wave-1 outputs — exactly the merge of Fig. 10(a). The plan changes at
 //! most once per job.
+//!
+//! Every sub-step — wave execution, scheduling, the merged reduce, the
+//! split reduce phase of Fig. 10(b), and the re-planned sub-jobs — runs
+//! through the runtime's one [`Runner`](efind_mapreduce::Runner) and
+//! finishes through its one job tail, so every runner-visible layer of
+//! the configuration (node crashes, corruption, partitions and the
+//! failure detector) applies to a dynamic job exactly as to a static one.
 
 use efind_cluster::{SimDuration, SimTime};
-use efind_common::{Error, FxHashMap, Result};
+use efind_common::{Error, FxHashMap, Record, Result};
 use efind_mapreduce::{
-    Counters, JobStats, PartitionLog, PhaseStats, RecoveryLog, Runner, Sketches, TaskStats,
+    Counters, JobConf, JobResult, JobStats, MapPhaseExec, RecoveryLog, Sketches, TaskStats,
 };
 
 use crate::compile::compile_pipeline;
@@ -31,35 +38,6 @@ use crate::jobconf::IndexJobConf;
 use crate::plan::{forced_plan, optimize_operator, OperatorPlan, Strategy};
 use crate::runtime::{EFindJobResult, EFindRuntime};
 use crate::statsx::{extract_operator_stats, variance_ok};
-
-/// A runner carrying the runtime's node-crash and corruption plans, so
-/// every adaptive sub-step (wave execution, scheduling, re-planned
-/// sub-jobs) sees the same planned crashes and byte flips as a plain
-/// `run_with_plans` execution.
-fn runner<'r>(rt: &'r mut EFindRuntime<'_>) -> Runner<'r> {
-    Runner::with_chaos(rt.cluster, rt.dfs, rt.config.chaos.clone())
-        .with_corruption(rt.config.corruption.clone())
-}
-
-/// Applies every planned crash at or before `upto` to the DFS and records
-/// it in `log`. `Dfs::crash_node` is idempotent, so crashes a sub-job's
-/// runner already applied are no-ops here (and re-replication of an
-/// already-healed chunk moves zero bytes).
-fn apply_chaos_to_dfs(rt: &mut EFindRuntime<'_>, upto: SimTime, log: &mut RecoveryLog) {
-    if rt.config.chaos.is_quiet() {
-        return;
-    }
-    for e in rt.config.chaos.events().to_vec() {
-        if e.at <= upto && !rt.dfs.is_dead(e.node) {
-            log.crashes.push(e);
-            rt.dfs.crash_node(e.node);
-            let rep = rt.dfs.re_replicate();
-            log.rereplicated_chunks += rep.chunks;
-            log.rereplicated_bytes += rep.bytes;
-            log.rereplication_time += rep.duration;
-        }
-    }
-}
 
 /// Computes warm-start plans from the attached store's measured history.
 ///
@@ -165,14 +143,14 @@ pub(crate) fn run_dynamic(
         .next()
         .ok_or_else(|| Error::Internal("empty compiled pipeline".into()))?;
 
-    let chunks = runner(rt).chunks(&conf)?;
+    let chunks = rt.runner().chunks(&conf)?;
     // When the whole map phase fits one wave there is no map-side
     // remainder to re-plan (remaining_in = 0 disables that branch), but
     // the reduce-phase branch below still applies.
-    let wave_n = runner(rt).first_wave_count(chunks.len()).min(chunks.len());
+    let wave_n = rt.runner().first_wave_count(chunks.len()).min(chunks.len());
 
     // ---- Wave 1 under the baseline plan (real execution). ----
-    let mut exec1 = runner(rt).execute_maps(&conf, &chunks[..wave_n], 0)?;
+    let mut exec1 = rt.runner().execute_maps(&conf, &chunks[..wave_n], 0)?;
     let mut wave_counters = Counters::new();
     let mut wave_sketches = Sketches::new();
     for t in &exec1.tasks {
@@ -237,38 +215,26 @@ pub(crate) fn run_dynamic(
         // splits. Algorithm 1's else-branch still applies — once the job
         // reaches its reduce phase, the tail operators (whose statistics
         // only exist now) get their own re-optimization chance.
-        let exec2 = runner(rt).execute_maps(&conf, &chunks[wave_n..], wave_n)?;
+        let exec2 = rt.runner().execute_maps(&conf, &chunks[wave_n..], wave_n)?;
         exec1.tasks.extend(exec2.tasks);
-        if let Some(result) = try_reduce_phase_replan(rt, ijob, &conf, &mut exec1, &baseline_plans)?
-        {
-            return Ok(result);
-        }
-        let res = runner(rt).finish(&conf, &mut exec1, SimTime::ZERO)?;
-        let total_time = res.stats.makespan();
-        rt.absorb_stats(ijob, std::slice::from_ref(&res.stats), &baseline_plans);
-        return Ok(EFindJobResult {
-            output: res.output,
-            total_time,
-            jobs: vec![res.stats],
-            // efind-lint: allow(unordered-iter, map-to-map collect; the destination is keyed and no order survives)
-            plans: baseline_plans.into_iter().collect(),
-            replanned: false,
-        });
+        return finish_reduce_phase(rt, ijob, &conf, exec1, baseline_plans);
     }
 
     // ---- Plan change (Fig. 10(a)). ----
     // Wave-1 tasks have already run; their elapsed time and outputs are
     // kept. The plan-change overhead models job resubmission.
-    let wave_sched = runner(rt).schedule_maps(&exec1, SimTime::ZERO);
+    let wave_sched = rt.runner().schedule_maps(&exec1, SimTime::ZERO);
     let mut t = wave_sched.makespan + SimDuration::from_secs_f64(rt.config.plan_change_cost_secs);
 
     // Crash-surviving re-plan: a wave-1 result on a node with a planned
     // death cannot be served to the re-planned job's (much later) reduce —
     // the node-local spill dies with the node. Those tasks are *lost*: the
     // re-plan reuses exactly the surviving results and sends the lost
-    // tasks' input splits back through the new plan. The ledger records
-    // both sets, so reports (and tests) can check the reuse is exact.
-    let mut recovery = RecoveryLog {
+    // tasks' input splits back through the new plan. The crashes that have
+    // struck by now hit the DFS before the re-plan reads its input; later
+    // ones strike inside the re-planned jobs. The re-plan's ledger records
+    // the reuse split, so reports (and tests) can check the reuse is exact.
+    let mut replan_log = RecoveryLog {
         crashed_attempts: wave_sched.crashed_attempts,
         ..RecoveryLog::default()
     };
@@ -280,15 +246,16 @@ pub(crate) fn run_dynamic(
             }
         }
         lost.sort_unstable();
-        apply_chaos_to_dfs(rt, SimTime::from_nanos(u64::MAX), &mut recovery);
-        recovery.lost_tasks = lost.clone();
-        recovery.surviving_tasks = wave_sched
+        rt.runner()
+            .apply_crashes(SimTime::ZERO..=t, &mut replan_log);
+        replan_log.lost_tasks = lost.clone();
+        replan_log.surviving_tasks = wave_sched
             .assignments
             .iter()
             .map(|a| a.task_id)
             .filter(|id| !lost.contains(id))
             .collect();
-        recovery.surviving_tasks.sort_unstable();
+        replan_log.surviving_tasks.sort_unstable();
         exec1.tasks.retain(|x| !lost.contains(&x.task_id));
     }
 
@@ -321,84 +288,36 @@ pub(crate) fn run_dynamic(
     let compiled2 = compile_pipeline(&ijob2, &new_plans, &rt.runtime_env())?;
 
     let mut job_stats: Vec<JobStats> = Vec::new();
-    let n_jobs = compiled2.jobs.len();
-    for conf2 in &compiled2.jobs[..n_jobs - 1] {
-        let res = runner(rt).run(conf2, t)?;
+    let (last, leading) = compiled2
+        .jobs
+        .split_last()
+        .ok_or_else(|| Error::Internal("empty re-planned pipeline".into()))?;
+    for conf2 in leading {
+        let res = rt.runner().run(conf2, t)?;
         t = res.stats.finished;
         job_stats.push(res.stats);
     }
 
-    let last = &compiled2.jobs[n_jobs - 1];
-    let (output, total_end) = if last.has_reduce() {
-        let lchunks = runner(rt).chunks(last)?;
-        let mut lexec = runner(rt).execute_maps(last, &lchunks, 0)?;
-        let lsched = runner(rt).schedule_maps(&lexec, t);
-        let map_end = lsched.makespan;
-        // Merge: new-plan map outputs plus the reused wave-1 outputs.
-        let mut sources = lexec.take_outputs();
-        sources.extend(exec1.take_outputs());
-        let outcome = runner(rt).run_reduce_from(last, sources, map_end)?;
-        let end = outcome.phase.schedule.makespan.max(map_end);
-
-        let mut counters = Counters::new();
-        let mut sketches = Sketches::new();
-        for ts in lexec
-            .tasks
-            .iter()
-            .map(|x| &x.stats)
-            .chain(outcome.phase.tasks.iter())
-        {
-            counters.merge(&ts.counters);
-            sketches.merge(&ts.sketches);
-        }
-        recovery.crashed_attempts +=
-            lsched.crashed_attempts + outcome.phase.schedule.crashed_attempts;
-        let mut integrity = runner(rt).integrity_sweep(last);
-        integrity.shuffle_refetches = outcome.shuffle_refetches;
-        integrity.shuffle_refetch_time = outcome.shuffle_refetch_time;
-        integrity.collect_lookup_counters(&counters);
-        recovery.add_counters(&mut counters);
-        integrity.add_counters(&mut counters);
-        let output_bytes = outcome.output.total_bytes();
-        job_stats.push(JobStats {
-            name: last.name.clone(),
-            started: t,
-            finished: end,
-            map: PhaseStats {
-                tasks: lexec.tasks.iter().map(|x| x.stats.clone()).collect(),
-                schedule: lsched,
-            },
-            reduce: Some(outcome.phase),
-            counters,
-            sketches,
-            shuffle_bytes: outcome.shuffle_bytes,
-            output_bytes,
-            recovery: std::mem::take(&mut recovery),
-            integrity,
-            partition: PartitionLog::default(),
-        });
-        (outcome.output, end)
+    // Merge: the final reduce consumes the new plan's map outputs plus the
+    // reused wave-1 outputs; a map-only final job appends them to its
+    // output instead.
+    let mut runner = rt.runner();
+    let mut lexec = runner.execute_maps(last, &runner.chunks(last)?, 0)?;
+    if last.has_reduce() {
+        lexec.reused = exec1.take_outputs();
+    }
+    let mut res = runner.finish(last, &mut lexec, t)?;
+    let stats = &mut res.stats;
+    stats.recovery.graft(replan_log, &mut stats.counters);
+    let output = if last.has_reduce() {
+        res.output
     } else {
-        // Map-only enhanced job: append the reused wave-1 outputs to the
-        // new plan's output.
-        let mut res = runner(rt).run(last, t)?;
-        // The sub-job carries its own window's ledger; graft the re-plan's
-        // reuse decision onto it so `result.jobs` tells the whole story.
-        if !recovery.surviving_tasks.is_empty() {
-            res.stats.counters.add(
-                "mr.recovery.reused.tasks",
-                recovery.surviving_tasks.len() as i64,
-            );
-        }
-        res.stats.recovery.surviving_tasks = std::mem::take(&mut recovery.surviving_tasks);
-        res.stats.recovery.lost_tasks = std::mem::take(&mut recovery.lost_tasks);
-        let end = res.stats.finished;
-        job_stats.push(res.stats);
         let mut all: Vec<_> = exec1.take_outputs().into_iter().flatten().collect();
         all.extend(rt.dfs.read_file(&ijob.output)?);
-        let output = rt.dfs.write_file(&ijob.output, all);
-        (output, end)
+        rt.dfs.write_file(&ijob.output, all)
     };
+    let total_end = res.stats.finished;
+    job_stats.push(res.stats);
 
     if !rt.config.keep_intermediates {
         for tmp in &compiled2.temp_files {
@@ -426,47 +345,57 @@ pub(crate) fn run_dynamic(
     })
 }
 
-/// Fig. 10(b) / Algorithm 1's reduce-phase branch: when the final job's
-/// reduce runs in multiple waves and the tail operators (running baseline
-/// inside `reduce_post`) turn out to be worth a shuffle strategy, the
-/// completed wave's outputs move to the job output, the remaining reduce
-/// tasks run *without* the tail chains, and a re-planned tail pipeline
-/// processes their outputs. Returns `None` when the preconditions do not
-/// hold or the gain does not cover the plan-change cost.
-fn try_reduce_phase_replan(
+/// The result of a dynamic job that kept its baseline plan end to end.
+fn unchanged(
     rt: &mut EFindRuntime<'_>,
     ijob: &IndexJobConf,
-    conf: &efind_mapreduce::JobConf,
-    exec: &mut efind_mapreduce::MapPhaseExec,
-    baseline_plans: &FxHashMap<String, OperatorPlan>,
-) -> Result<Option<EFindJobResult>> {
+    res: JobResult,
+    plans: FxHashMap<String, OperatorPlan>,
+) -> EFindJobResult {
+    rt.absorb_stats(ijob, std::slice::from_ref(&res.stats), &plans);
+    EFindJobResult {
+        output: res.output,
+        total_time: res.stats.makespan(),
+        jobs: vec![res.stats],
+        // efind-lint: allow(unordered-iter, map-to-map collect; the destination is keyed and no order survives)
+        plans: plans.into_iter().collect(),
+        replanned: false,
+    }
+}
+
+/// Finishes a dynamic job whose map side kept the baseline plan, giving
+/// Fig. 10(b) / Algorithm 1's reduce-phase branch its chance: when the
+/// job's reduce runs in multiple waves and the tail operators (running
+/// baseline inside `reduce_post`) turn out to be worth a shuffle strategy,
+/// the completed wave's outputs move to the job output, the remaining
+/// reduce tasks run *without* the tail chains, and a re-planned tail
+/// pipeline processes their outputs. Otherwise — the preconditions do not
+/// hold, or the gain does not cover the plan-change cost — the job
+/// finishes under its current plan, reusing the reduce wave already run.
+fn finish_reduce_phase(
+    rt: &mut EFindRuntime<'_>,
+    ijob: &IndexJobConf,
+    conf: &JobConf,
+    mut exec: MapPhaseExec,
+    baseline_plans: FxHashMap<String, OperatorPlan>,
+) -> Result<EFindJobResult> {
     let reduce_slots = rt.cluster.total_reduce_slots();
     if ijob.tail.is_empty() || !conf.has_reduce() || conf.num_reducers <= reduce_slots {
-        // The caller's normal finish path still owns the map outputs.
-        return Ok(None);
+        let res = rt.runner().finish(conf, &mut exec, SimTime::ZERO)?;
+        return Ok(unchanged(rt, ijob, res, baseline_plans));
     }
 
-    // Map phase timeline and shuffle partitioning.
-    let map_schedule = runner(rt).schedule_maps(exec, SimTime::ZERO);
-    let map_end = map_schedule.makespan;
-    let sources = exec.take_outputs();
-    let (partitions, shuffle_bytes) = runner(rt).partition_for_reduce(conf, sources);
+    // Map phase timeline, recovery, and the verified shuffle.
+    let mut job = rt.runner().open(conf, &mut exec, SimTime::ZERO)?;
+    let partitions = rt.runner().shuffle(conf, &mut job, exec.take_outputs());
+    let mut buckets = partitions.into_iter().enumerate();
+    let first: Vec<(usize, Vec<Record>)> = buckets.by_ref().take(reduce_slots).collect();
+    let rest: Vec<(usize, Vec<Record>)> = buckets.collect();
+    let remaining_in: u64 = rest.iter().map(|(_, p)| p.len() as u64).sum();
 
     // ---- Reduce wave 1 under the current (tail-baseline) plan. ----
-    let wave_refs: Vec<(usize, &[efind_common::Record])> = partitions[..reduce_slots]
-        .iter()
-        .enumerate()
-        .map(|(i, p)| (i, p.as_slice()))
-        .collect();
-    let wave1 = runner(rt).execute_reduce_partitions(conf, &wave_refs)?;
-    let wave_specs: Vec<_> = wave1.iter().map(|t| t.spec.clone()).collect();
-    let wave_schedule = efind_cluster::sched::schedule_phase_chaos(
-        rt.cluster,
-        &wave_specs,
-        map_end,
-        &rt.config.chaos,
-    );
-    let wave_end = wave_schedule.makespan;
+    let wave1 = rt.runner().reduce_tasks(conf, &job, first)?;
+    let wave_schedule = rt.runner().schedule_reduces(&wave1, job.reduce_start);
 
     // ---- Re-optimize the tail operators from wave-1 statistics. ----
     let mut wave_counters = Counters::new();
@@ -477,10 +406,6 @@ fn try_reduce_phase_replan(
     }
     let task_stats: Vec<&TaskStats> = wave1.iter().map(|t| &t.stats).collect();
     let wave_in: u64 = wave1.iter().map(|t| t.stats.input_records).sum();
-    let remaining_in: u64 = partitions[reduce_slots..]
-        .iter()
-        .map(|p| p.len() as u64)
-        .sum();
 
     let mut change = false;
     let mut tail_plans: FxHashMap<String, OperatorPlan> = FxHashMap::default();
@@ -537,82 +462,15 @@ fn try_reduce_phase_replan(
     }
 
     if !change {
-        // No plan change: the map outputs were already consumed above, so
-        // complete the job here — execute the remaining reduce waves under
-        // the current plan and assemble an uninterrupted-equivalent run.
-        let rest_refs: Vec<(usize, &[efind_common::Record])> = partitions[reduce_slots..]
-            .iter()
-            .enumerate()
-            .map(|(i, p)| (reduce_slots + i, p.as_slice()))
-            .collect();
-        let rest = runner(rt).execute_reduce_partitions(conf, &rest_refs)?;
-        let mut specs: Vec<_> = wave1.iter().map(|t| t.spec.clone()).collect();
-        specs.extend(rest.iter().map(|t| t.spec.clone()));
-        let reduce_schedule = efind_cluster::sched::schedule_phase_chaos(
-            rt.cluster,
-            &specs,
-            map_end,
-            &rt.config.chaos,
-        );
-        let finished = reduce_schedule.makespan;
-        let all_output: Vec<efind_common::Record> = wave1
-            .iter()
-            .chain(rest.iter())
-            .flat_map(|x| x.output.iter().cloned())
-            .collect();
-        let output = rt.dfs.write_file(&ijob.output, all_output);
-
-        let mut counters = wave_counters;
-        let mut sketches = wave_sketches;
-        for x in exec
-            .tasks
-            .iter()
-            .map(|x| &x.stats)
-            .chain(rest.iter().map(|x| &x.stats))
-        {
-            counters.merge(&x.counters);
-            sketches.merge(&x.sketches);
-        }
-        rt.record_observations(ijob, &counters, &sketches, baseline_plans);
-        let mut recovery = RecoveryLog {
-            crashed_attempts: map_schedule.crashed_attempts + reduce_schedule.crashed_attempts,
-            ..RecoveryLog::default()
-        };
-        apply_chaos_to_dfs(rt, finished, &mut recovery);
-        let mut integrity = runner(rt).integrity_sweep(conf);
-        integrity.collect_lookup_counters(&counters);
-        recovery.add_counters(&mut counters);
-        integrity.add_counters(&mut counters);
-        let mut reduce_tasks: Vec<TaskStats> = wave1.iter().map(|x| x.stats.clone()).collect();
-        reduce_tasks.extend(rest.iter().map(|x| x.stats.clone()));
-        let output_bytes = output.total_bytes();
-        let stats = JobStats {
-            name: conf.name.clone(),
-            started: SimTime::ZERO,
-            finished,
-            map: PhaseStats {
-                tasks: exec.tasks.iter().map(|x| x.stats.clone()).collect(),
-                schedule: map_schedule,
-            },
-            reduce: Some(PhaseStats {
-                tasks: reduce_tasks,
-                schedule: reduce_schedule,
-            }),
-            counters,
-            sketches,
-            shuffle_bytes,
-            output_bytes,
-            recovery,
-            integrity,
-            partition: PartitionLog::default(),
-        };
-        return Ok(Some(EFindJobResult {
-            output,
-            total_time: finished.since(SimTime::ZERO),
-            jobs: vec![stats],
-            plans: baseline_plans.clone().into_iter().collect(),
-            replanned: false,
-        }));
+        // No plan change: the remaining reduce tasks run under the current
+        // plan and the whole reduce phase is scheduled as one uninterrupted
+        // phase — wave 1 is not executed again.
+        let mut tasks = wave1;
+        tasks.extend(rt.runner().reduce_tasks(conf, &job, rest)?);
+        let mut runner = rt.runner();
+        let schedule = runner.schedule_reduces(&tasks, job.reduce_start);
+        let res = runner.close(conf, job, Some((tasks, schedule)), Vec::new());
+        return Ok(unchanged(rt, ijob, res, baseline_plans));
     }
 
     // ---- Plan change (Fig. 10(b)). ----
@@ -620,25 +478,19 @@ fn try_reduce_phase_replan(
     // remaining reduce tasks run without the tail chains.
     let mut stripped = conf.clone();
     stripped.reduce_post = Vec::new();
-    let rest_refs: Vec<(usize, &[efind_common::Record])> = partitions[reduce_slots..]
-        .iter()
-        .enumerate()
-        .map(|(i, p)| (reduce_slots + i, p.as_slice()))
-        .collect();
-    let rest = runner(rt).execute_reduce_partitions(&stripped, &rest_refs)?;
-    let rest_specs: Vec<_> = rest.iter().map(|t| t.spec.clone()).collect();
-    let rest_start = wave_end + SimDuration::from_secs_f64(rt.config.plan_change_cost_secs);
-    let rest_schedule = efind_cluster::sched::schedule_phase_chaos(
-        rt.cluster,
-        &rest_specs,
-        rest_start,
-        &rt.config.chaos,
-    );
+    let mut rest = rt.runner().reduce_tasks(&stripped, &job, rest)?;
+    let rest_start =
+        wave_schedule.makespan + SimDuration::from_secs_f64(rt.config.plan_change_cost_secs);
+    let rest_schedule = rt.runner().schedule_reduces(&rest, rest_start);
     let mut t = rest_schedule.makespan;
+    let mut schedule = wave_schedule;
+    schedule.append(rest_schedule);
 
     // The re-planned tail pipeline consumes the stripped outputs.
-    let rest_records: Vec<efind_common::Record> =
-        rest.iter().flat_map(|x| x.output.iter().cloned()).collect();
+    let rest_records: Vec<Record> = rest
+        .iter_mut()
+        .flat_map(|x| std::mem::take(&mut x.output))
+        .collect();
     let tmp_in = format!("{}.tail-replan.in", ijob.name);
     rt.dfs
         .write_file_with_chunks(&tmp_in, rest_records, rt.cluster.total_map_slots());
@@ -651,20 +503,13 @@ fn try_reduce_phase_replan(
         "adaptive reduce-phase replan produced an analyzer-rejected plan"
     );
     let compiled = compile_pipeline(&tail_ijob, &tail_plans, &rt.runtime_env())?;
-    let mut job_stats: Vec<JobStats> = Vec::new();
+    let mut tail_jobs: Vec<JobStats> = Vec::new();
     for tconf in &compiled.jobs {
-        let res = runner(rt).run(tconf, t)?;
+        let res = rt.runner().run(tconf, t)?;
         t = res.stats.finished;
-        job_stats.push(res.stats);
+        tail_jobs.push(res.stats);
     }
-
-    // Merge: completed wave-1 outputs + the tail pipeline's outputs.
-    let mut final_records: Vec<efind_common::Record> = wave1
-        .iter()
-        .flat_map(|x| x.output.iter().cloned())
-        .collect();
-    final_records.extend(rt.dfs.read_file(&tmp_out)?);
-    let output = rt.dfs.write_file(&ijob.output, final_records);
+    let tail_output = rt.dfs.read_file(&tmp_out)?;
     if !rt.config.keep_intermediates {
         rt.dfs.delete(&tmp_in);
         rt.dfs.delete(&tmp_out);
@@ -673,81 +518,33 @@ fn try_reduce_phase_replan(
         }
     }
 
-    // Assemble stats: the split reduce phases plus the tail jobs. The
-    // first JobStats carries only its own tasks' counters — the tail
-    // jobs are appended as separate entries, so merging theirs here
-    // would double-count for anyone summing over `result.jobs`.
-    let mut counters = wave_counters;
-    let mut sketches = wave_sketches;
-    for x in exec
-        .tasks
-        .iter()
-        .map(|x| &x.stats)
-        .chain(rest.iter().map(|x| &x.stats))
-    {
-        counters.merge(&x.counters);
-        sketches.merge(&x.sketches);
-    }
-    let mut absorb_counters = counters.clone();
-    let mut absorb_sketches = sketches.clone();
-    for j in &job_stats {
-        absorb_counters.merge(&j.counters);
-        absorb_sketches.merge(&j.sketches);
-    }
+    // The split job's output merges its completed wave-1 outputs with the
+    // tail pipeline's outputs (the stripped tasks' outputs moved above).
+    // Its counters are only its own tasks' — the tail jobs follow as
+    // separate entries, so anyone summing over `result.jobs` counts each
+    // task once.
+    let mut tasks = wave1;
+    tasks.extend(rest);
+    let res = rt
+        .runner()
+        .close(conf, job, Some((tasks, schedule)), tail_output);
+    let mut jobs = vec![res.stats];
+    jobs.extend(tail_jobs);
     // Head/body operators executed under the baseline plans; the tail
     // operators under their re-planned strategies.
-    let mut final_plans = baseline_plans.clone();
+    let mut final_plans = baseline_plans;
     // efind-lint: allow(unordered-iter, map-to-map merge; the destination is keyed and no order survives)
     final_plans.extend(tail_plans.iter().map(|(k, v)| (k.clone(), v.clone())));
-    rt.record_observations(ijob, &absorb_counters, &absorb_sketches, &final_plans);
+    rt.absorb_stats(ijob, &jobs, &final_plans);
 
-    let mut reduce_tasks: Vec<TaskStats> = wave1.iter().map(|x| x.stats.clone()).collect();
-    reduce_tasks.extend(rest.iter().map(|x| x.stats.clone()));
-    let mut reduce_schedule = wave_schedule;
-    reduce_schedule
-        .assignments
-        .extend(rest_schedule.assignments);
-    reduce_schedule.makespan = reduce_schedule.makespan.max(rest_schedule.makespan);
-    let mut recovery = RecoveryLog {
-        crashed_attempts: map_schedule.crashed_attempts + reduce_schedule.crashed_attempts,
-        ..RecoveryLog::default()
-    };
-    apply_chaos_to_dfs(rt, reduce_schedule.makespan, &mut recovery);
-    let mut integrity = runner(rt).integrity_sweep(conf);
-    integrity.collect_lookup_counters(&counters);
-    recovery.add_counters(&mut counters);
-    integrity.add_counters(&mut counters);
-    let output_bytes = output.total_bytes();
-    let mut jobs = vec![JobStats {
-        name: conf.name.clone(),
-        started: SimTime::ZERO,
-        finished: reduce_schedule.makespan,
-        map: PhaseStats {
-            tasks: exec.tasks.iter().map(|x| x.stats.clone()).collect(),
-            schedule: map_schedule,
-        },
-        reduce: Some(PhaseStats {
-            tasks: reduce_tasks,
-            schedule: reduce_schedule,
-        }),
-        counters,
-        sketches,
-        shuffle_bytes,
-        output_bytes,
-        recovery,
-        integrity,
-        partition: PartitionLog::default(),
-    }];
-    jobs.extend(job_stats);
-
-    Ok(Some(EFindJobResult {
-        output,
+    Ok(EFindJobResult {
+        output: res.output,
         total_time: t.since(SimTime::ZERO),
         jobs,
         // efind-lint: allow(unordered-iter, map-to-map collect; the destination is keyed and no order survives)
         plans: tail_plans.into_iter().collect(),
         replanned: true,
-    }))
+    })
 }
 
 #[cfg(test)]
@@ -1059,6 +856,109 @@ mod tests {
         let mut rt = EFindRuntime::with_config(&cluster, &mut dfs, cheap_change_config());
         let res = rt.run(&ijob, Mode::Dynamic).unwrap();
         assert!(!res.replanned);
+    }
+
+    /// The virtual observables of a Dynamic run: total virtual time,
+    /// per-job makespan, shuffle bytes, and counter fingerprint, plus the
+    /// output file's fingerprint.
+    fn observables(res: &EFindJobResult, dfs: &Dfs) -> Vec<(String, u64)> {
+        use efind_common::fx_hash_bytes;
+        use std::fmt::Write as _;
+        let mut captured = vec![("total.nanos".to_owned(), res.total_time.as_nanos())];
+        for (i, job) in res.jobs.iter().enumerate() {
+            let mut text = String::new();
+            for (k, v) in job.counters.iter_sorted() {
+                let _ = writeln!(text, "{k}={v}");
+            }
+            captured.push((format!("job{i}.makespan.nanos"), job.makespan().as_nanos()));
+            captured.push((format!("job{i}.shuffle.bytes"), job.shuffle_bytes));
+            captured.push((
+                format!("job{i}.counters.fingerprint"),
+                fx_hash_bytes(text.as_bytes()),
+            ));
+        }
+        let mut buf = Vec::new();
+        for rec in dfs.read_file("out").unwrap() {
+            buf.extend_from_slice(&rec.encode());
+        }
+        captured.push(("output.fingerprint".to_owned(), fx_hash_bytes(&buf)));
+        captured
+    }
+
+    fn goldens(values: &[(&str, u64)]) -> Vec<(String, u64)> {
+        values.iter().map(|&(k, v)| (k.to_owned(), v)).collect()
+    }
+
+    /// Quiet Fig. 10(b) plan change: the tail operator leaves the
+    /// baseline and a re-planned tail pipeline follows the split reduce.
+    #[test]
+    fn quiet_reduce_phase_change_matches_golden() {
+        let (cluster, mut dfs, ijob) = tail_heavy_setup(3000);
+        let mut rt = EFindRuntime::with_config(&cluster, &mut dfs, cheap_change_config());
+        let res = rt.run(&ijob, Mode::Dynamic).unwrap();
+        assert!(res.replanned, "the tail operator must be re-planned");
+        assert_eq!(res.jobs[0].name, "tailjob-j0", "the split job comes first");
+        assert!(res.jobs.len() > 1, "the re-planned tail pipeline follows");
+        let expected = goldens(&[
+            ("total.nanos", 2783284426),
+            ("job0.makespan.nanos", 2735527204),
+            ("job0.shuffle.bytes", 54000),
+            ("job0.counters.fingerprint", 13547036296144657316),
+            ("job1.makespan.nanos", 47757222),
+            ("job1.shuffle.bytes", 0),
+            ("job1.counters.fingerprint", 17534291077667818422),
+            ("output.fingerprint", 1541328545358312932),
+        ]);
+        assert_eq!(observables(&res, rt.dfs), expected);
+    }
+
+    /// Quiet Fig. 10(b) evaluation that declines the change: one job whose
+    /// reduce phase runs every partition under the original plan.
+    #[test]
+    fn quiet_reduce_phase_no_change_matches_golden() {
+        let (cluster, mut dfs, ijob) = tail_heavy_setup(3000);
+        let config = EFindConfig {
+            plan_change_cost_secs: 1.0e9, // prohibitive
+            ..cheap_change_config()
+        };
+        let mut rt = EFindRuntime::with_config(&cluster, &mut dfs, config);
+        let res = rt.run(&ijob, Mode::Dynamic).unwrap();
+        assert!(!res.replanned, "a prohibitive change cost keeps the plan");
+        assert_eq!(res.jobs.len(), 1);
+        let reduce = res.jobs[0].reduce.as_ref().unwrap();
+        assert_eq!(reduce.tasks.len(), 6, "every partition reduced once");
+        assert!(
+            ijob.num_reducers > cluster.total_reduce_slots(),
+            "the reduce phase spans several waves"
+        );
+        let expected = goldens(&[
+            ("total.nanos", 7938034888),
+            ("job0.makespan.nanos", 7938034888),
+            ("job0.shuffle.bytes", 54000),
+            ("job0.counters.fingerprint", 2979695702617021552),
+            ("output.fingerprint", 1541328545358312932),
+        ]);
+        assert_eq!(observables(&res, rt.dfs), expected);
+    }
+
+    /// The reduce-phase re-plan runs its reducers through the runner's
+    /// shuffle, so a corruption plan that hits shuffle payloads is caught
+    /// and refetched there exactly as on a static plan.
+    #[test]
+    fn reduce_phase_replan_verifies_shuffle_payloads() {
+        use efind_cluster::CorruptionPlan;
+        let (cluster, mut dfs, ijob) = tail_heavy_setup(3000);
+        let mut config = cheap_change_config();
+        config.corruption = CorruptionPlan::new(3).shuffle(0.5);
+        let mut rt = EFindRuntime::with_config(&cluster, &mut dfs, config);
+        let res = rt.run(&ijob, Mode::Dynamic).unwrap();
+        assert!(res.replanned, "the tail operator must be re-planned");
+        let refetches: i64 = res
+            .jobs
+            .iter()
+            .map(|j| j.counters.get("mr.integrity.shuffle.refetches"))
+            .sum();
+        assert!(refetches > 0, "no shuffle payload was verified");
     }
 
     /// Wraps an accessor and declares its lookups non-deterministic.

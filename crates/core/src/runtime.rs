@@ -69,15 +69,17 @@ pub struct EFindConfig {
     /// exact same hot path as a never-configured one, paying no per-record
     /// or per-lookup draws, checksums, or ledger bookkeeping.
     pub faults: FaultConfig,
-    /// Node-crash plan applied to every constituent MapReduce job: nodes
-    /// die at their planned virtual times, completed map outputs lost with
-    /// them are recomputed, the DFS re-replicates, and the adaptive
-    /// re-plan reuses exactly the first-wave results that survived. Quiet
-    /// by default — the crash-free path is byte-identical to a build
-    /// without the recovery layer.
+    /// Node-crash plan applied to every constituent MapReduce job,
+    /// including every adaptive sub-step (they all run through the same
+    /// runner): nodes die at their planned virtual times, completed map
+    /// outputs lost with them are recomputed, the DFS re-replicates, and
+    /// the adaptive re-plan reuses exactly the first-wave results that
+    /// survived. Quiet by default — the crash-free path is byte-identical
+    /// to a build without the recovery layer.
     pub chaos: ChaosPlan,
-    /// Data-corruption plan applied to every constituent MapReduce job:
-    /// DFS chunk replicas, shuffle payloads, lookup-cache entries, and
+    /// Data-corruption plan applied to every constituent MapReduce job,
+    /// including every adaptive sub-step (they all run through the same
+    /// runner): DFS chunk replicas, shuffle payloads, lookup-cache entries, and
     /// index responses flip bytes per the plan's seeded draws, CRC-32
     /// verification catches every flip at the read boundary, and the
     /// repair paths (alternate replica + re-replication, shuffle refetch,
@@ -86,8 +88,9 @@ pub struct EFindConfig {
     /// corruption-free path is byte-identical to a build without the
     /// integrity layer.
     pub corruption: CorruptionPlan,
-    /// Network-partition plan applied to every constituent MapReduce job:
-    /// partitions cut *visibility*, never state — isolated nodes keep
+    /// Network-partition plan applied to every constituent MapReduce job,
+    /// including every adaptive sub-step (they all run through the same
+    /// runner): partitions cut *visibility*, never state — isolated nodes keep
     /// running, their completed outputs strand until the partition heals
     /// (or are recomputed elsewhere when it never does), and the DFS is
     /// never mutated. Quiet by default ([`PartitionPlan::none`]) — the
@@ -529,10 +532,7 @@ impl<'a> EFindRuntime<'a> {
         let mut jobs = Vec::with_capacity(compiled.jobs.len());
         let mut output: Option<DfsFile> = None;
         for conf in &compiled.jobs {
-            let res = Runner::with_chaos(self.cluster, self.dfs, self.config.chaos.clone())
-                .with_corruption(self.config.corruption.clone())
-                .with_netsplit(self.config.netsplit.clone(), self.config.detector)
-                .run(conf, t)?;
+            let res = self.runner().run(conf, t)?;
             t = res.stats.finished;
             jobs.push(res.stats);
             output = Some(res.output);
@@ -552,6 +552,16 @@ impl<'a> EFindRuntime<'a> {
             plans: plans.into_iter().collect(),
             replanned,
         })
+    }
+
+    /// A runner carrying every runner-visible injection layer of the
+    /// configuration — node crashes, corruption, and the partition plan
+    /// with its failure detector — so static pipelines and every adaptive
+    /// sub-step run under the same plans.
+    pub(crate) fn runner(&mut self) -> Runner<'_> {
+        Runner::with_chaos(self.cluster, self.dfs, self.config.chaos.clone())
+            .with_corruption(self.config.corruption.clone())
+            .with_netsplit(self.config.netsplit.clone(), self.config.detector)
     }
 
     /// Harvests operator statistics from executed jobs into the catalog

@@ -96,6 +96,23 @@ impl RecoveryLog {
             self.surviving_tasks.len() as i64,
         );
     }
+
+    /// Grafts `replan` — the ledger an adaptive re-plan kept on behalf of
+    /// the job that consumes its reused results — onto this job's ledger
+    /// and its already-folded `counters`: the first-wave attempts crashes
+    /// killed, the re-replication the re-plan triggered, and the
+    /// surviving/lost split of the first-wave results. Crashes are not
+    /// copied: the job's own run records every crash inside its window.
+    pub fn graft(&mut self, mut replan: RecoveryLog, counters: &mut Counters) {
+        replan.crashes.clear();
+        replan.add_counters(counters);
+        self.crashed_attempts += replan.crashed_attempts;
+        self.rereplicated_chunks += replan.rereplicated_chunks;
+        self.rereplicated_bytes += replan.rereplicated_bytes;
+        self.rereplication_time += replan.rereplication_time;
+        self.surviving_tasks = replan.surviving_tasks;
+        self.lost_tasks = replan.lost_tasks;
+    }
 }
 
 #[cfg(test)]

@@ -8,18 +8,22 @@
 //! volumes), then [`efind_cluster::sched::schedule_phase`] assigns tasks to
 //! slots and yields the phase makespan.
 //!
-//! The runner's pieces are public individually (`execute_maps`,
-//! `run_reduce_from`, `schedule_maps`) because EFind's adaptive optimizer
-//! (§4.3, Fig. 10) needs to stop a job after its first map wave, re-plan,
-//! and stitch the completed wave's outputs into the new plan's reduce.
+//! The runner's pieces are public individually because EFind's adaptive
+//! optimizer (§4.3, Fig. 10) stops a job after its first map or reduce
+//! wave and re-plans. [`Runner::finish`] is [`Runner::open`] (schedule the
+//! map phase and run its recovery), [`Runner::shuffle`],
+//! [`Runner::reduce_tasks`] and [`Runner::schedule_reduces`], then
+//! [`Runner::close`] (the one job tail); a re-planned job finishes through
+//! the same pieces, so every injection layer applies to it.
 
+use std::ops::RangeInclusive;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::thread;
 
 use efind_cluster::{
     sched::{schedule_phase_gray, PartitionReplay, Schedule, SlotKind, TaskSpec},
-    Assignment, ChaosPlan, Cluster, CorruptionPlan, CrashEvent, DetectorConfig, InjectionProfile,
-    NodeId, PartitionPlan, SimDuration, SimTime, Suspicion, Verdict,
+    Assignment, ChaosPlan, Cluster, CorruptionPlan, DetectorConfig, InjectionProfile, NodeId,
+    PartitionPlan, SimDuration, SimTime, Suspicion, Verdict,
 };
 use efind_common::{crc32, Error, Record, Result};
 use efind_dfs::{ChunkMeta, Dfs, DfsFile};
@@ -27,6 +31,7 @@ use parking_lot::Mutex;
 
 use crate::api::{run_chain, run_chain_shared, Collector};
 use crate::context::TaskCtx;
+use crate::counters::{Counters, Sketches};
 use crate::integrity::IntegrityLog;
 use crate::job::JobConf;
 use crate::netsplit_log::PartitionLog;
@@ -95,6 +100,11 @@ impl MapTaskExec {
 pub struct MapPhaseExec {
     /// Executed tasks in task-id order.
     pub tasks: Vec<MapTaskExec>,
+    /// Outputs of map tasks that completed under an earlier plan and are
+    /// reused by this job's reduce (the adaptive re-plan's surviving
+    /// first-wave results, Fig. 10(a)). They join the shuffle after the
+    /// tasks' own outputs and are never scheduled again.
+    pub reused: Vec<Vec<Record>>,
 }
 
 impl MapPhaseExec {
@@ -103,12 +113,16 @@ impl MapPhaseExec {
         self.tasks.iter().map(|t| t.stats.output_bytes).sum()
     }
 
-    /// Moves the per-task output record vectors out, in task order.
+    /// Moves the per-task output record vectors out, in task order,
+    /// followed by the reused outputs.
     pub fn take_outputs(&mut self) -> Vec<Vec<Record>> {
-        self.tasks
+        let mut outputs: Vec<Vec<Record>> = self
+            .tasks
             .iter_mut()
             .map(|t| std::mem::take(&mut t.output))
-            .collect()
+            .collect();
+        outputs.append(&mut self.reused);
+        outputs
     }
 }
 
@@ -124,21 +138,23 @@ pub struct ReduceTaskExec {
     pub output: Vec<Record>,
 }
 
-/// Outcome of a reduce phase.
-pub struct ReduceOutcome {
-    /// Reduce phase statistics and timeline.
-    pub phase: PhaseStats,
-    /// The written DFS output file.
-    pub output: DfsFile,
-    /// Bytes moved through the shuffle.
-    pub shuffle_bytes: u64,
-    /// Shuffle payloads that failed CRC verification at the reducer and
-    /// were refetched from the source map output (0 under a quiet
-    /// corruption plan).
-    pub shuffle_refetches: u64,
-    /// Virtual time the refetches cost (already charged into the
-    /// affected reduce tasks' costs).
-    pub shuffle_refetch_time: SimDuration,
+/// A job between [`Runner::open`] and [`Runner::close`]: its map phase is
+/// scheduled and recovered, and its statistics carry everything observed
+/// so far.
+pub struct OpenJob {
+    /// The job's statistics so far; [`Runner::close`] completes them.
+    stats: JobStats,
+    /// When the reducers start fetching — after recompute waves, fetch
+    /// backoff, and partition failover — or when a map-only job's map
+    /// phase ends.
+    pub reduce_start: SimTime,
+    /// Planned crashes from this instant on fell past the map phase; the
+    /// tail applies those inside the job window.
+    crash_cutoff: SimTime,
+    /// Node-level detector outcomes, assessed once per job.
+    suspicions: Vec<Suspicion>,
+    /// Per-partition shuffle refetch time, charged to its reduce task.
+    refetch: Vec<SimDuration>,
 }
 
 /// Executes jobs against a cluster and DFS.
@@ -279,6 +295,7 @@ impl<'a> Runner<'a> {
         .ok_or_else(|| Error::Internal("map worker panicked".into()))?;
         Ok(MapPhaseExec {
             tasks: tasks.into_iter().collect::<Result<_>>()?,
+            reused: Vec::new(),
         })
     }
 
@@ -427,25 +444,9 @@ impl<'a> Runner<'a> {
     }
 
     /// Executes (real computation, no scheduling) the reduce tasks for the
-    /// given `(task_id, input)` partitions. Used directly by the adaptive
-    /// optimizer to run the reduce phase wave by wave (Fig. 10(b)).
-    pub fn execute_reduce_partitions(
-        &self,
-        conf: &JobConf,
-        partitions: &[(usize, &[Record])],
-    ) -> Result<Vec<ReduceTaskExec>> {
-        self.execute_reduce_partitions_owned(
-            conf,
-            partitions
-                .iter()
-                .map(|&(id, input)| (id, input.to_vec()))
-                .collect(),
-        )
-    }
-
-    /// Owned variant of [`Runner::execute_reduce_partitions`]: each reduce
-    /// task takes its partition by move, so the sort and group machinery
-    /// works on the shuffle buffers directly instead of a private copy.
+    /// given `(task_id, input)` partitions. Each task takes its partition
+    /// by move, so the sort and group machinery works on the shuffle
+    /// buffers directly instead of a private copy.
     pub fn execute_reduce_partitions_owned(
         &self,
         conf: &JobConf,
@@ -459,57 +460,57 @@ impl<'a> Runner<'a> {
         .collect()
     }
 
-    /// Runs the reduce phase over per-source map outputs (in source order),
-    /// writes the job output file, and returns the outcome.
+    /// The job's shuffle: verifies every (map source, reduce partition)
+    /// payload at the reducer boundary, then partitions the per-source map
+    /// outputs (in source order) into reduce buckets. The shuffled bytes
+    /// and refetches go into `job`'s ledger.
     ///
-    /// `sources` is one record vector per completed map task; the shuffle
-    /// partitions each with the job's partitioner. This entry point is also
-    /// how the adaptive optimizer merges a completed first wave (old plan)
-    /// with the new plan's map outputs — Fig. 10(a).
-    pub fn run_reduce_from(
-        &mut self,
+    /// Verification happens while the per-source outputs still exist (the
+    /// partitioning merge loses source identity): each payload is
+    /// checksummed as the sender would send it, and a corrupted transfer
+    /// fails the reducer-side CRC and is refetched from the in-memory
+    /// source output.
+    pub fn shuffle(
+        &self,
         conf: &JobConf,
+        job: &mut OpenJob,
         sources: Vec<Vec<Record>>,
-        start: SimTime,
-    ) -> Result<ReduceOutcome> {
-        if !conf.has_reduce() {
-            return Err(Error::InvalidConfig(format!(
-                "job {} has no reduce phase",
-                conf.name
-            )));
-        }
-        // Shuffle-boundary verification happens while the per-source map
-        // outputs still exist (the merge below loses source identity):
-        // each (source, partition) payload is checksummed as the sender
-        // would send it; a corrupted transfer fails the reducer-side CRC
-        // and is refetched from the in-memory source output.
-        let (extra_fetch, shuffle_refetches, shuffle_refetch_time) =
-            self.verify_shuffle_payloads(conf, &sources);
+    ) -> Vec<Vec<Record>> {
+        let integrity = &mut job.stats.integrity;
+        (
+            job.refetch,
+            integrity.shuffle_refetches,
+            integrity.shuffle_refetch_time,
+        ) = self.verify_shuffle_payloads(conf, &sources);
         let (partitions, shuffle_bytes) = self.partition_for_reduce(conf, sources);
-        let mut execs = self
-            .execute_reduce_partitions_owned(conf, partitions.into_iter().enumerate().collect())?;
+        job.stats.shuffle_bytes = shuffle_bytes;
+        partitions
+    }
+
+    /// Executes the reduce tasks of `partitions` (`(task_id, bucket)`
+    /// pairs from [`Runner::shuffle`]), charging each the refetch time its
+    /// partition's corrupted shuffle payloads cost.
+    pub fn reduce_tasks(
+        &self,
+        conf: &JobConf,
+        job: &OpenJob,
+        partitions: Vec<(usize, Vec<Record>)>,
+    ) -> Result<Vec<ReduceTaskExec>> {
+        let mut execs = self.execute_reduce_partitions_owned(conf, partitions)?;
         for e in &mut execs {
-            if let Some(extra) = extra_fetch.get(e.task_id).filter(|d| !d.is_zero()) {
+            if let Some(extra) = job.refetch.get(e.task_id).filter(|d| !d.is_zero()) {
                 e.spec.base += *extra;
                 e.stats.compute_cost += *extra;
             }
         }
+        Ok(execs)
+    }
 
-        let (mut tasks, mut specs, mut records) = (Vec::new(), Vec::new(), Vec::new());
-        for e in execs {
-            tasks.push(e.stats);
-            specs.push(e.spec);
-            records.extend(e.output);
-        }
-        let schedule = self.schedule(&specs, start, &self.netsplit);
-        let output = self.write_output(conf, records);
-        Ok(ReduceOutcome {
-            phase: PhaseStats { tasks, schedule },
-            output,
-            shuffle_bytes,
-            shuffle_refetches,
-            shuffle_refetch_time,
-        })
+    /// Schedules executed reduce tasks onto the cluster starting at
+    /// `start`, under the same layered replay as the map phase.
+    pub fn schedule_reduces(&self, tasks: &[ReduceTaskExec], start: SimTime) -> Schedule {
+        let specs: Vec<TaskSpec> = tasks.iter().map(|t| t.spec.clone()).collect();
+        self.schedule(&specs, start, &self.netsplit)
     }
 
     /// Verifies every (map source, reduce partition) shuffle payload
@@ -690,16 +691,15 @@ impl<'a> Runner<'a> {
     /// discoveries in the ledger, quarantines every replica that fails CRC
     /// verification out of its chunk's host set, and re-replicates the
     /// survivors back up to the replication target through the same
-    /// background repair path node crashes use. Quiet plans — and plans
-    /// with verification disabled, which cannot *detect* anything — return
-    /// the empty ledger untouched.
-    pub fn integrity_sweep(&mut self, conf: &JobConf) -> IntegrityLog {
-        let mut log = IntegrityLog::default();
+    /// background repair path node crashes use, all recorded in `log`.
+    /// Quiet plans — and plans with verification disabled, which cannot
+    /// *detect* anything — leave the ledger untouched.
+    fn integrity_sweep(&mut self, conf: &JobConf, log: &mut IntegrityLog) {
         if !self.corruption.verifies_chunks() {
-            return log;
+            return;
         }
         let Ok(meta) = self.dfs.stat(&conf.input) else {
-            return log;
+            return;
         };
         let chunk_ids: Vec<usize> = meta.chunks.iter().map(|c| c.index).collect();
         for idx in chunk_ids {
@@ -718,7 +718,6 @@ impl<'a> Runner<'a> {
             log.repaired_bytes += rep.bytes;
             log.repair_time += rep.duration;
         }
-        log
     }
 
     /// Records the node-level gray-failure outcomes of one job into its
@@ -788,6 +787,26 @@ impl<'a> Runner<'a> {
     /// Schedules an executed map phase, runs the reduce phase (if any),
     /// writes the output, and assembles the result. Consumes the map
     /// outputs held in `exec`.
+    pub fn finish(
+        &mut self,
+        conf: &JobConf,
+        exec: &mut MapPhaseExec,
+        start: SimTime,
+    ) -> Result<JobResult> {
+        let mut job = self.open(conf, exec, start)?;
+        let sources = exec.take_outputs();
+        if !conf.has_reduce() {
+            return Ok(self.close(conf, job, None, sources.into_iter().flatten().collect()));
+        }
+        let partitions = self.shuffle(conf, &mut job, sources);
+        let tasks = self.reduce_tasks(conf, &job, partitions.into_iter().enumerate().collect())?;
+        let schedule = self.schedule_reduces(&tasks, job.reduce_start);
+        Ok(self.close(conf, job, Some((tasks, schedule)), Vec::new()))
+    }
+
+    /// The map side of a job: schedules the executed map phase from
+    /// `start` and runs every map-side recovery step, up to the instant
+    /// the reducers start fetching.
     ///
     /// Under a non-quiet chaos plan this is also where node crashes are
     /// *applied*: deaths inside the map window strip the dead node's DFS
@@ -798,12 +817,12 @@ impl<'a> Runner<'a> {
     /// [`RecoveryLog`]. Map task ids are assumed to equal their input
     /// chunk indices (true for every runner entry point), which lets the
     /// recompute path find a task's surviving input replicas.
-    pub fn finish(
+    pub fn open(
         &mut self,
         conf: &JobConf,
         exec: &mut MapPhaseExec,
         start: SimTime,
-    ) -> Result<JobResult> {
+    ) -> Result<OpenJob> {
         // Map-only jobs pay the DFS store from within the map tasks.
         if !conf.has_reduce() {
             for t in &mut exec.tasks {
@@ -864,15 +883,13 @@ impl<'a> Runner<'a> {
                 }
             }
         }
-        let mut deferred: Vec<CrashEvent> = Vec::new();
         // One branch on the hoisted classification replaces every
         // per-event / per-attempt chaos check for quiet runs.
         if self.profile.chaos.is_armed() {
             for e in self.chaos.events().to_vec() {
                 if e.at >= map_end {
                     // Falls past the (current) map phase; it can still hit
-                    // the reduce phase, handled after the reduce schedule.
-                    deferred.push(e);
+                    // the reduce phase, applied by the job tail.
                     continue;
                 }
                 recovery.crashes.push(e);
@@ -918,6 +935,9 @@ impl<'a> Runner<'a> {
             }
             recovery.recomputed_map_tasks.sort_unstable();
         }
+        // Events are sorted by time, so every crash the loop above left
+        // for later lies at or after this instant.
+        let crash_cutoff = map_end;
 
         // Permanent partitions strand completed node-local map outputs:
         // once the detector confirms a node gone, every map task that
@@ -991,88 +1011,113 @@ impl<'a> Runner<'a> {
             reduce_start = reduce_start.max(t);
         }
 
-        let mut counters = crate::counters::Counters::new();
-        let mut sketches = crate::counters::Sketches::new();
+        let mut counters = Counters::new();
+        let mut sketches = Sketches::new();
         for t in &exec.tasks {
             counters.merge(&t.stats.counters);
             sketches.merge(&t.stats.sketches);
         }
+        Ok(OpenJob {
+            stats: JobStats {
+                name: conf.name.clone(),
+                started: start,
+                finished: reduce_start,
+                map: PhaseStats {
+                    tasks: exec.tasks.iter().map(|t| t.stats.clone()).collect(),
+                    schedule: map_schedule,
+                },
+                reduce: None,
+                counters,
+                sketches,
+                shuffle_bytes: 0,
+                output_bytes: 0,
+                recovery,
+                integrity: IntegrityLog::default(),
+                partition: gray,
+            },
+            reduce_start,
+            crash_cutoff,
+            suspicions,
+            refetch: Vec::new(),
+        })
+    }
 
-        let map_stats = PhaseStats {
-            tasks: exec.tasks.iter().map(|t| t.stats.clone()).collect(),
-            schedule: map_schedule,
-        };
-
-        let (output, reduce, finished, shuffle) = if conf.has_reduce() {
-            let sources = exec.take_outputs();
-            let outcome = self.run_reduce_from(conf, sources, reduce_start)?;
-            for t in &outcome.phase.tasks {
-                counters.merge(&t.counters);
-                sketches.merge(&t.sketches);
+    /// The one job tail: folds the reduce tasks (if any) into the job,
+    /// writes their outputs followed by `more` records to the job's output
+    /// file, applies the planned crashes that fell inside the reduce
+    /// window, sweeps input integrity, folds the armed layers' ledgers
+    /// into the counters, and completes the [`JobStats`].
+    pub fn close(
+        &mut self,
+        conf: &JobConf,
+        job: OpenJob,
+        reduce: Option<(Vec<ReduceTaskExec>, Schedule)>,
+        more: Vec<Record>,
+    ) -> JobResult {
+        let OpenJob {
+            mut stats,
+            reduce_start,
+            crash_cutoff,
+            suspicions,
+            ..
+        } = job;
+        let mut records = Vec::new();
+        if let Some((execs, schedule)) = reduce {
+            let mut tasks = Vec::with_capacity(execs.len());
+            for e in execs {
+                stats.counters.merge(&e.stats.counters);
+                stats.sketches.merge(&e.stats.sketches);
+                tasks.push(e.stats);
+                records.extend(e.output);
             }
-            recovery.crashed_attempts += outcome.phase.schedule.crashed_attempts;
-            fold_partition_replay(&mut gray, &outcome.phase.schedule.partition);
-            let finished = outcome.phase.schedule.makespan.max(reduce_start);
+            stats.recovery.crashed_attempts += schedule.crashed_attempts;
+            fold_partition_replay(&mut stats.partition, &schedule.partition);
+            stats.finished = schedule.makespan.max(reduce_start);
+            stats.reduce = Some(PhaseStats { tasks, schedule });
+        }
+        records.extend(more);
+        let output = self.write_output(conf, records);
+        stats.output_bytes = output.total_bytes();
+        if stats.reduce.is_some() {
             // Crashes that fell after the map phase but inside the reduce
-            // window still take DFS replicas with them (the reduce schedule
-            // already re-placed its own attempts via the chaos replay).
-            for e in deferred {
-                if e.at <= finished {
-                    recovery.crashes.push(e);
-                    self.dfs.crash_node(e.node);
-                    self.re_replicate_into(&mut recovery);
-                }
-            }
-            let shuffle = (
-                outcome.shuffle_bytes,
-                outcome.shuffle_refetches,
-                outcome.shuffle_refetch_time,
-            );
-            (outcome.output, Some(outcome.phase), finished, shuffle)
-        } else {
-            let all_output: Vec<Record> = exec.take_outputs().into_iter().flatten().collect();
-            let output = self.write_output(conf, all_output);
-            (output, None, map_end, (0, 0, SimDuration::ZERO))
-        };
-        let (shuffle_bytes, shuffle_refetches, shuffle_refetch_time) = shuffle;
-        let mut integrity = IntegrityLog {
-            shuffle_refetches,
-            shuffle_refetch_time,
-            ..self.integrity_sweep(conf)
-        };
+            // window still take DFS replicas with them (the reduce
+            // schedule already re-placed its own attempts via the chaos
+            // replay).
+            self.apply_crashes(crash_cutoff..=stats.finished, &mut stats.recovery);
+        }
+        self.integrity_sweep(conf, &mut stats.integrity);
         // Ledger bookkeeping only for armed layers: a quiet layer's ledger
         // is all zeros and add_counters writes nothing for zeros, so
         // skipping it is observably identical and saves the full
         // counter-map scan on every quiet job.
         if self.profile.corruption.is_armed() {
-            integrity.collect_lookup_counters(&counters);
-            integrity.add_counters(&mut counters);
+            stats.integrity.collect_lookup_counters(&stats.counters);
+            stats.integrity.add_counters(&mut stats.counters);
         }
         if self.profile.chaos.is_armed() {
-            recovery.add_counters(&mut counters);
+            stats.recovery.add_counters(&mut stats.counters);
         }
         if self.profile.partition.is_armed() {
-            self.account_gray_nodes(conf, &suspicions, finished, &mut gray);
-            gray.add_counters(&mut counters);
+            self.account_gray_nodes(conf, &suspicions, stats.finished, &mut stats.partition);
+            stats.partition.add_counters(&mut stats.counters);
         }
-        let output_bytes = output.total_bytes();
-        Ok(JobResult {
-            output,
-            stats: JobStats {
-                name: conf.name.clone(),
-                started: start,
-                finished,
-                map: map_stats,
-                reduce,
-                counters,
-                sketches,
-                shuffle_bytes,
-                output_bytes,
-                recovery,
-                integrity,
-                partition: gray,
-            },
-        })
+        JobResult { output, stats }
+    }
+
+    /// Applies every planned crash inside `window` to the DFS: the node's
+    /// replicas die with it, the survivors re-replicate in the background,
+    /// and both are recorded in `recovery`.
+    pub fn apply_crashes(&mut self, window: RangeInclusive<SimTime>, recovery: &mut RecoveryLog) {
+        if !self.profile.chaos.is_armed() {
+            return;
+        }
+        for e in self.chaos.events().to_vec() {
+            if window.contains(&e.at) {
+                recovery.crashes.push(e);
+                self.dfs.crash_node(e.node);
+                self.re_replicate_into(recovery);
+            }
+        }
     }
 
     /// One recompute wave: re-runs, from `at`, every map attempt that had
@@ -1434,20 +1479,11 @@ mod tests {
     }
 
     #[test]
-    fn reduce_from_requires_reduce() {
-        let (cluster, mut dfs) = setup(vec![]);
-        let conf = JobConf::new("x", "input", "out");
-        let mut runner = Runner::new(&cluster, &mut dfs);
-        assert!(runner
-            .run_reduce_from(&conf, vec![], SimTime::ZERO)
-            .is_err());
-    }
-
-    #[test]
-    fn wave_split_then_merge_matches_full_run() {
-        // Simulates what the adaptive optimizer does when it decides NOT to
-        // change plans: wave 1 and the remainder executed separately must
-        // reduce to the same output as one full run.
+    fn reused_outputs_merge_into_the_reduce() {
+        // What the adaptive optimizer does after a map-side plan change:
+        // the first wave's outputs are reused by the job that runs the
+        // remaining splits, and the merged reduce produces the same output
+        // as one full run.
         let (cluster, mut dfs) = setup(words());
         let conf = wordcount_conf();
         let full = run_job(&cluster, &mut dfs, &conf).unwrap();
@@ -1462,14 +1498,12 @@ mod tests {
             .max(1);
         let mut exec1 = runner.execute_maps(&conf, &chunks[..w], 0).unwrap();
         let mut exec2 = runner.execute_maps(&conf, &chunks[w..], w).unwrap();
-        let mut sources = exec1.take_outputs();
-        sources.extend(exec2.take_outputs());
-        let outcome = runner
-            .run_reduce_from(&conf, sources, SimTime::ZERO)
-            .unwrap();
+        exec2.reused = exec1.take_outputs();
+        let merged = runner.finish(&conf, &mut exec2, SimTime::ZERO).unwrap();
         let merged_out = dfs2.read_file("out").unwrap();
         assert_eq!(full_out, merged_out);
-        assert_eq!(full.output.total_bytes(), outcome.output.total_bytes());
+        assert_eq!(full.output.total_bytes(), merged.output.total_bytes());
+        assert_eq!(full.stats.shuffle_bytes, merged.stats.shuffle_bytes);
     }
 
     #[test]

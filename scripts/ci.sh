@@ -37,10 +37,12 @@ EFIND_CRASH_SEEDS="${EFIND_CRASH_SEEDS:-0xEF1D0003,0xDEADBEE5,41}" \
     cargo test -q --release --test node_crash
 
 echo "== data integrity (pinned seed matrix) =="
-# Deterministic corruption sweep: per (seed, rate, strategy) cell two
-# runs must be bit-identical (or fail fast identically), corruption
-# under replication 3 must change neither output nor non-ledger
-# counters, and the zero-corruption cell must match the hotpath goldens.
+# Deterministic corruption sweep: per (seed, rate, mode) cell — every
+# static strategy plus Mode::Dynamic, whose adaptive sub-steps run
+# through the same runner — two runs must be bit-identical (or fail fast
+# identically), corruption under replication 3 must change neither
+# output nor non-ledger counters, and the zero-corruption cell must match
+# the hotpath goldens.
 EFIND_CORRUPT_SEEDS="${EFIND_CORRUPT_SEEDS:-0xEF1D0004,0xC0FFEE01,53}" \
     cargo test -q --release --test integrity
 
@@ -56,9 +58,11 @@ echo "== gray failures (pinned seed matrix) =="
 # Deterministic partition/hedge sweep: configured-but-quiet partition and
 # hedge layers must match the plain run byte-for-byte (the quiet golden
 # smoke), hedged lookups must win time but never bytes, a partition
-# healing mid-job must leave the output bit-identical, and the full gray
-# stack (partition + hedge + chaos) must replay bit-identically across
-# double runs. Release mode: stalled schedules multiply virtual work.
+# healing mid-job must leave the output bit-identical under a static plan
+# and under Mode::Dynamic, a partition that never heals must fail fast in
+# both, and the full gray stack (partition + hedge + chaos) must replay
+# bit-identically across double runs. Release mode: stalled schedules
+# multiply virtual work.
 EFIND_NETSPLIT_SEEDS="${EFIND_NETSPLIT_SEEDS:-0xEF1D0010,0x5EED5EED}" \
     cargo test -q --release --test netsplit
 

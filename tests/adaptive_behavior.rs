@@ -165,3 +165,85 @@ fn empty_input_is_handled_in_every_mode() {
         assert!(!res.replanned);
     }
 }
+
+/// Labeled golden observables; whole vectors are compared at once so a
+/// mismatch prints every value next to its expectation.
+type Goldens = Vec<(String, u64)>;
+
+/// The virtual observables of one enhanced-job result: total virtual
+/// time, per-job makespan, shuffle bytes, and counter fingerprint, plus
+/// the fingerprint of the named output file.
+fn dynamic_observables(
+    res: &efind_repro::core::EFindJobResult,
+    dfs: &efind_repro::dfs::Dfs,
+    output: &str,
+) -> Goldens {
+    use efind_repro::common::fx_hash_bytes;
+    use std::fmt::Write as _;
+    let mut captured = vec![("total.nanos".to_owned(), res.total_time.as_nanos())];
+    for (i, job) in res.jobs.iter().enumerate() {
+        let mut text = String::new();
+        for (k, v) in job.counters.iter_sorted() {
+            let _ = writeln!(text, "{k}={v}");
+        }
+        captured.push((format!("job{i}.makespan.nanos"), job.makespan().as_nanos()));
+        captured.push((format!("job{i}.shuffle.bytes"), job.shuffle_bytes));
+        captured.push((
+            format!("job{i}.counters.fingerprint"),
+            fx_hash_bytes(text.as_bytes()),
+        ));
+    }
+    let mut buf = Vec::new();
+    for rec in dfs.read_file(output).expect("output file missing") {
+        buf.extend_from_slice(&rec.encode());
+    }
+    captured.push(("output.fingerprint".to_owned(), fx_hash_bytes(&buf)));
+    captured
+}
+
+fn goldens(values: &[(&str, u64)]) -> Goldens {
+    values.iter().map(|&(k, v)| (k.to_owned(), v)).collect()
+}
+
+/// Quiet `Mode::Dynamic` on LOG with no extra lookup delay: Algorithm 1
+/// keeps the baseline plan and the job finishes as one MapReduce job.
+#[test]
+fn quiet_dynamic_without_replan_matches_golden() {
+    let mut s = log::scenario(&config_with_delay(0));
+    let mut rt = EFindRuntime::new(&s.cluster, &mut s.dfs);
+    let res = rt.run(&s.ijob, Mode::Dynamic).unwrap();
+    assert!(!res.replanned, "cheap lookups must keep the baseline plan");
+    assert_eq!(res.jobs.len(), 1, "no re-plan runs exactly one job");
+    let expected = goldens(&[
+        ("total.nanos", 90948211),
+        ("job0.makespan.nanos", 90948211),
+        ("job0.shuffle.bytes", 205665),
+        ("job0.counters.fingerprint", 6509178991414998623),
+        ("output.fingerprint", 3131906729403553718),
+    ]);
+    assert_eq!(dynamic_observables(&res, &s.dfs, "log.topk"), expected);
+}
+
+/// Quiet `Mode::Dynamic` on LOG with 5 ms lookups: the map-side re-plan
+/// fires and the final job's reduce merges the reused wave-1 outputs with
+/// the new plan's map outputs (Fig. 10(a)).
+#[test]
+fn quiet_dynamic_map_side_replan_matches_golden() {
+    let mut s = log::scenario(&config_with_delay(5));
+    let mut rt = EFindRuntime::new(&s.cluster, &mut s.dfs);
+    let res = rt.run(&s.ijob, Mode::Dynamic).unwrap();
+    assert!(res.replanned, "5 ms lookups must trigger a plan change");
+    let last = res.jobs.last().unwrap();
+    assert!(
+        last.reduce.is_some(),
+        "the final job merges wave-1 outputs into its reduce"
+    );
+    let expected = goldens(&[
+        ("total.nanos", 382303677),
+        ("job0.makespan.nanos", 137506140),
+        ("job0.shuffle.bytes", 205665),
+        ("job0.counters.fingerprint", 3951773399226039160),
+        ("output.fingerprint", 3131906729403553718),
+    ]);
+    assert_eq!(dynamic_observables(&res, &s.dfs, "log.topk"), expected);
+}

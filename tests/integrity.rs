@@ -6,9 +6,10 @@
 //! flip and takes the repair path (alternate replica, refetch,
 //! invalidation, re-transfer). These tests pin the contract end to end:
 //!
-//! * Per `(seed, rate, strategy)` cell, two complete runs agree on every
-//!   virtual observable — or fail with the *same* fail-fast error. A
-//!   corrupted run is never a wrong answer and never a hang.
+//! * Per `(seed, rate, mode)` cell — every static strategy and the
+//!   adaptive runtime — two complete runs agree on every virtual
+//!   observable, or fail with the *same* fail-fast error. A corrupted run
+//!   is never a wrong answer and never a hang.
 //! * The zero-corruption cell matches the `tests/hotpath_golden.rs`
 //!   constants exactly — a quiet plan is byte-for-byte the plain path.
 //! * Chunk corruption under replication 3 changes neither the output nor
@@ -99,13 +100,13 @@ fn corrupt_seeds() -> Vec<u64> {
 /// some chunk — by contract the only alternative to the clean answer).
 fn run_multi_corrupt(
     config: &MultiConfig,
-    strategy: Strategy,
+    mode: Mode,
     plan: CorruptionPlan,
 ) -> Result<Observables, String> {
     let mut s = multi::scenario(config);
     s.efind_config.corruption = plan;
     let mut rt = EFindRuntime::with_config(&s.cluster, &mut s.dfs, s.efind_config.clone());
-    let res = match rt.run(&s.ijob, Mode::Uniform(strategy)) {
+    let res = match rt.run(&s.ijob, mode) {
         Ok(res) => res,
         Err(err) => return Err(err.to_string()),
     };
@@ -203,7 +204,8 @@ fn output_of(o: &Observables) -> Observables {
         .collect()
 }
 
-/// The headline sweep: per `(seed, rate, strategy)` cell, two complete
+/// The headline sweep: per `(seed, rate, mode)` cell — the four static
+/// strategies and `Mode::Dynamic` — two complete
 /// runs agree on every virtual observable — or fail identically with the
 /// fail-fast corruption error. Every successful cell produces the exact
 /// clean output and never finishes earlier than the clean run (repair
@@ -211,10 +213,18 @@ fn output_of(o: &Observables) -> Observables {
 #[test]
 fn corrupted_runs_are_bit_identical_and_output_preserving() {
     let config = sweep_config();
-    let clean: Vec<Observables> = STRATEGIES
+    // Every static strategy, plus the adaptive runtime: its re-planned
+    // sub-jobs run through the same runner and must meet the same bar.
+    let modes: Vec<Mode> = STRATEGIES
         .iter()
-        .map(|&s| {
-            run_multi_corrupt(&config, s, CorruptionPlan::none()).expect("clean run must succeed")
+        .map(|&s| Mode::Uniform(s))
+        .chain([Mode::Dynamic])
+        .collect();
+    let clean: Vec<Observables> = modes
+        .iter()
+        .map(|m| {
+            run_multi_corrupt(&config, m.clone(), CorruptionPlan::none())
+                .expect("clean run must succeed")
         })
         .collect();
     let mut events_seen = 0u64;
@@ -229,26 +239,26 @@ fn corrupted_runs_are_bit_identical_and_output_preserving() {
                 .shuffle(rate)
                 .cache(rate)
                 .responses(rate);
-            for (si, &strategy) in STRATEGIES.iter().enumerate() {
-                let first = run_multi_corrupt(&config, strategy, plan.clone());
-                let second = run_multi_corrupt(&config, strategy, plan.clone());
+            for (si, mode) in modes.iter().enumerate() {
+                let first = run_multi_corrupt(&config, mode.clone(), plan.clone());
+                let second = run_multi_corrupt(&config, mode.clone(), plan.clone());
                 assert_eq!(
                     first, second,
-                    "nondeterminism: seed={seed:#x} rate={rate} strategy={strategy:?}"
+                    "nondeterminism: seed={seed:#x} rate={rate} mode={mode:?}"
                 );
                 match first {
                     Ok(observed) => {
                         assert_eq!(
                             output_of(&observed),
                             output_of(&clean[si]),
-                            "output changed: seed={seed:#x} rate={rate} strategy={strategy:?}"
+                            "output changed: seed={seed:#x} rate={rate} mode={mode:?}"
                         );
                         // Detection and repair can only cost virtual
                         // time, never win it.
                         assert!(
                             observed[0].1 >= clean[si][0].1,
                             "corrupted run finished early: seed={seed:#x} rate={rate} \
-                             strategy={strategy:?}"
+                             mode={mode:?}"
                         );
                         events_seen += observed
                             .iter()
@@ -260,7 +270,7 @@ fn corrupted_runs_are_bit_identical_and_output_preserving() {
                         assert!(
                             msg.contains("chunk") && msg.contains("checksum"),
                             "unexpected failure: seed={seed:#x} rate={rate} \
-                             strategy={strategy:?}: {msg}"
+                             mode={mode:?}: {msg}"
                         );
                     }
                 }
@@ -313,7 +323,7 @@ fn zero_corruption_cells_match_hotpath_goldens() {
             // every boundary, yet nothing may change.
             ("zero-rate", CorruptionPlan::new(7)),
         ] {
-            let captured = run_multi_corrupt(&golden_config(), strategy, plan)
+            let captured = run_multi_corrupt(&golden_config(), Mode::Uniform(strategy), plan)
                 .expect("quiet plan must never fail");
             let kept: Observables = captured
                 .into_iter()
@@ -334,7 +344,8 @@ fn chunk_corruption_at_replication_3_preserves_output_and_counters() {
     let clean: Vec<Observables> = STRATEGIES
         .iter()
         .map(|&s| {
-            run_multi_corrupt(&config, s, CorruptionPlan::none()).expect("clean run must succeed")
+            run_multi_corrupt(&config, Mode::Uniform(s), CorruptionPlan::none())
+                .expect("clean run must succeed")
         })
         .collect();
     // Candidate chunk-only plans pre-screened against the *input* file:
@@ -366,7 +377,7 @@ fn chunk_corruption_at_replication_3_preserves_output_and_counters() {
     'candidate: for plan in candidates {
         let mut cells: Vec<(Strategy, Observables)> = Vec::new();
         for &strategy in &STRATEGIES {
-            match run_multi_corrupt(&config, strategy, plan.clone()) {
+            match run_multi_corrupt(&config, Mode::Uniform(strategy), plan.clone()) {
                 Ok(hit) => cells.push((strategy, hit)),
                 // An intermediate chunk lost all its replicas under this
                 // seed: a correct fail-fast, but not the recoverable
@@ -517,8 +528,12 @@ fn fig_integrity_repair_table() {
 #[test]
 fn combined_corruption_crash_and_faults_preserve_the_answer() {
     let config = sweep_config();
-    let clean = run_multi_corrupt(&config, Strategy::Cache, CorruptionPlan::none())
-        .expect("clean run must succeed");
+    let clean = run_multi_corrupt(
+        &config,
+        Mode::Uniform(Strategy::Cache),
+        CorruptionPlan::none(),
+    )
+    .expect("clean run must succeed");
     let total = clean[0].1;
     let num_nodes = multi::scenario(&config).cluster.num_nodes();
     let run = || {

@@ -12,7 +12,10 @@
 //! * hedged lookups race backups and *win time, never bytes* — the output
 //!   fingerprint is bit-identical to the unhedged run (§3.2 idempotence);
 //! * a partition healing mid-job completes bit-identically to the
-//!   unpartitioned run, leaving only `mr.partition.*` counters behind;
+//!   unpartitioned run, leaving only `mr.partition.*` counters behind —
+//!   under a static plan and under `Mode::Dynamic` alike;
+//! * a partition that never heals fails the job fast with
+//!   `Error::Partitioned` in both modes;
 //! * the full gray stack (partition + hedge + chaos) replays
 //!   bit-identically across runs.
 //!
@@ -22,7 +25,7 @@
 
 use efind::{EFindConfig, EFindRuntime, HedgeConfig, HedgePolicy, Mode, Strategy};
 use efind_cluster::{ChaosPlan, DetectorConfig, NodeId, PartitionPlan, SimDuration, SimTime};
-use efind_common::fx_hash_bytes;
+use efind_common::{fx_hash_bytes, Error};
 use efind_dfs::Dfs;
 use efind_mapreduce::JobStats;
 use efind_workloads::multi::{self, MultiConfig};
@@ -87,14 +90,14 @@ fn small_config() -> MultiConfig {
     }
 }
 
-/// Runs the workload under one strategy with `mutate` applied to the
+/// Runs the workload under one mode with `mutate` applied to the
 /// scenario's [`EFindConfig`], capturing every virtual observable plus
 /// the summed `hedge.fired` and `mr.partition.*`-presence facts.
-fn run_with(strategy: Strategy, mutate: impl FnOnce(&mut EFindConfig)) -> (Observables, u64, bool) {
+fn run_with(mode: Mode, mutate: impl FnOnce(&mut EFindConfig)) -> (Observables, u64, bool) {
     let mut s = multi::scenario(&small_config());
     mutate(&mut s.efind_config);
     let mut rt = EFindRuntime::with_config(&s.cluster, &mut s.dfs, s.efind_config.clone());
-    let res = rt.run(&s.ijob, Mode::Uniform(strategy)).unwrap();
+    let res = rt.run(&s.ijob, mode).unwrap();
     let mut captured: Observables = vec![
         obs("total.nanos", res.total_time.as_nanos()),
         obs("jobs", res.jobs.len() as u64),
@@ -162,8 +165,8 @@ fn transient_split(seed: u64) -> PartitionPlan {
 #[test]
 fn quiet_partition_and_hedge_config_matches_plain_exactly() {
     for strategy in [Strategy::Baseline, Strategy::Cache, Strategy::Repartition] {
-        let (plain, _, _) = run_with(strategy, |_| {});
-        let (quiet, fired, partitioned) = run_with(strategy, |cfg| {
+        let (plain, _, _) = run_with(Mode::Uniform(strategy), |_| {});
+        let (quiet, fired, partitioned) = run_with(Mode::Uniform(strategy), |cfg| {
             cfg.netsplit = PartitionPlan::new(0xD0_0D); // seeded, no events
             cfg.detector = DetectorConfig::default();
             cfg.hedge = HedgeConfig::disabled();
@@ -181,7 +184,7 @@ fn quiet_partition_and_hedge_config_matches_plain_exactly() {
 #[test]
 fn hedging_changes_charged_time_but_never_output() {
     for seed in netsplit_seeds() {
-        let (plain, _, _) = run_with(Strategy::Baseline, |_| {});
+        let (plain, _, _) = run_with(Mode::Uniform(Strategy::Baseline), |_| {});
         for policy in [HedgePolicy::ChargeWinner, HedgePolicy::ChargeBoth] {
             let hedge = |cfg: &mut EFindConfig| {
                 cfg.hedge = HedgeConfig {
@@ -190,14 +193,14 @@ fn hedging_changes_charged_time_but_never_output() {
                     policy,
                 };
             };
-            let (hedged, fired, _) = run_with(Strategy::Baseline, hedge);
+            let (hedged, fired, _) = run_with(Mode::Uniform(Strategy::Baseline), hedge);
             assert!(fired > 0, "seed {seed:#x}: no hedge fired");
             assert_eq!(
                 output_of(&hedged),
                 output_of(&plain),
                 "seed {seed:#x} {policy:?}: hedging moved the output"
             );
-            let (again, fired_again, _) = run_with(Strategy::Baseline, hedge);
+            let (again, fired_again, _) = run_with(Mode::Uniform(Strategy::Baseline), hedge);
             assert_eq!(hedged, again, "seed {seed:#x} {policy:?}: nondeterministic");
             assert_eq!(fired, fired_again);
         }
@@ -206,23 +209,54 @@ fn hedging_changes_charged_time_but_never_output() {
 
 /// A partition healing mid-job completes bit-identically to the
 /// unpartitioned run: only timing and the `mr.partition.*` ledger move,
-/// never the output.
+/// never the output. The adaptive runtime runs every sub-step through the
+/// same runner, so it sees the same partition plan.
 #[test]
 fn partition_healing_mid_job_completes_bit_identically() {
-    for seed in netsplit_seeds() {
-        let (plain, _, _) = run_with(Strategy::Cache, |_| {});
-        let split = |cfg: &mut EFindConfig| {
-            cfg.netsplit = transient_split(seed);
-        };
-        let (cut, _, partitioned) = run_with(Strategy::Cache, split);
-        assert!(partitioned, "seed {seed:#x}: the cut left no trace");
-        assert_eq!(
-            output_of(&cut),
-            output_of(&plain),
-            "seed {seed:#x}: the partition moved the output"
-        );
-        let (again, _, _) = run_with(Strategy::Cache, split);
-        assert_eq!(cut, again, "seed {seed:#x}: nondeterministic replay");
+    for mode in [Mode::Uniform(Strategy::Cache), Mode::Dynamic] {
+        for seed in netsplit_seeds() {
+            let (plain, _, _) = run_with(mode.clone(), |_| {});
+            let split = |cfg: &mut EFindConfig| {
+                cfg.netsplit = transient_split(seed);
+            };
+            let (cut, _, partitioned) = run_with(mode.clone(), split);
+            assert!(
+                partitioned,
+                "seed {seed:#x} {mode:?}: the cut left no trace"
+            );
+            assert_eq!(
+                output_of(&cut),
+                output_of(&plain),
+                "seed {seed:#x} {mode:?}: the partition moved the output"
+            );
+            let (again, _, _) = run_with(mode.clone(), split);
+            assert_eq!(
+                cut, again,
+                "seed {seed:#x} {mode:?}: nondeterministic replay"
+            );
+        }
+    }
+}
+
+/// A partition that never heals and cuts off nodes 0–10 (every replica
+/// of some chunk) fails the job fast with `Error::Partitioned` — under a
+/// static plan and under the adaptive runtime alike.
+#[test]
+fn never_healing_partition_fails_fast_in_every_mode() {
+    let cut: Vec<NodeId> = (0..=10).map(NodeId).collect();
+    for mode in [Mode::Uniform(Strategy::Baseline), Mode::Dynamic] {
+        let mut s = multi::scenario(&small_config());
+        s.efind_config.netsplit =
+            PartitionPlan::new(0xEF1D_0010).split(&cut, SimTime::from_nanos(1_000), None);
+        let mut rt = EFindRuntime::with_config(&s.cluster, &mut s.dfs, s.efind_config.clone());
+        match rt.run(&s.ijob, mode.clone()) {
+            Err(Error::Partitioned(_)) => {}
+            Err(err) => panic!("{mode:?}: expected Error::Partitioned, got {err}"),
+            Ok(res) => panic!(
+                "{mode:?}: expected Error::Partitioned, got {} output rows",
+                res.output.total_records()
+            ),
+        }
     }
 }
 
@@ -232,7 +266,7 @@ fn partition_healing_mid_job_completes_bit_identically() {
 #[test]
 fn armed_partition_hedge_and_chaos_replay_bit_identically() {
     for seed in netsplit_seeds() {
-        let (plain, _, _) = run_with(Strategy::Cache, |_| {});
+        let (plain, _, _) = run_with(Mode::Uniform(Strategy::Cache), |_| {});
         let gray = |cfg: &mut EFindConfig| {
             cfg.netsplit = transient_split(seed);
             cfg.hedge = HedgeConfig {
@@ -247,8 +281,8 @@ fn armed_partition_hedge_and_chaos_replay_bit_identically() {
                 SimTime::from_nanos(40_000_000),
             );
         };
-        let (a, _, _) = run_with(Strategy::Cache, gray);
-        let (b, _, _) = run_with(Strategy::Cache, gray);
+        let (a, _, _) = run_with(Mode::Uniform(Strategy::Cache), gray);
+        let (b, _, _) = run_with(Mode::Uniform(Strategy::Cache), gray);
         assert_eq!(a, b, "seed {seed:#x}: gray stack replay diverged");
         assert_eq!(
             output_of(&a),
